@@ -19,8 +19,8 @@
 //	curl http://localhost:8080/ei_algorithms/safety/mask?video=camera1
 //	curl "http://localhost:8080/ei_algorithms/serving/infer?model=power-net&input=0.1,0.2,...(32 values)"
 //
-// The serving engine (micro-batching across model replicas with a bounded
-// admission queue) is tuned with -serve-max-batch, -serve-batch-wait,
+// The serving engine (work-conserving batching across model replicas with
+// a bounded admission queue) is tuned with -serve-max-batch,
 // -serve-replicas and -serve-queue-depth; under overload the infer route
 // returns HTTP 429. Multi-tenant admission is declared with -tenants
 // (comma-separated name:priority:weight[:rps[:burst]] classes — strict
@@ -118,8 +118,7 @@ func main() {
 
 		// Serving-engine knobs (GET /ei_algorithms/serving/infer,
 		// GET /ei_metrics). Zero keeps the engine default.
-		maxBatch   = flag.Int("serve-max-batch", 0, "largest inference micro-batch (0 = default)")
-		maxWait    = flag.Duration("serve-batch-wait", 0, "max wait for a micro-batch to fill (0 = default)")
+		maxBatch   = flag.Int("serve-max-batch", 0, "largest inference batch a replica takes at once (0 = default)")
 		replicas   = flag.Int("serve-replicas", 0, "model replicas per serving pipeline (0 = default)")
 		queueDepth = flag.Int("serve-queue-depth", 0, "bounded serving queue; full queue returns 429 (0 = default)")
 
@@ -186,8 +185,7 @@ func main() {
 		log.Fatal(err)
 	}
 	servingCfg := openei.ServingConfig{
-		MaxBatch: *maxBatch, MaxWait: *maxWait,
-		Replicas: *replicas, QueueDepth: *queueDepth,
+		MaxBatch: *maxBatch, Replicas: *replicas, QueueDepth: *queueDepth,
 		Procs: *procs, ParallelGrain: *grain,
 		Tenants: tenantCfgs, DefaultTenant: *defaultTenant,
 		ExitThreshold: *exitThr,
@@ -268,8 +266,8 @@ func run(addr, nodeID, device, pkgName, cloudURL, peers, offloadURL, backendName
 	node.Server.SetTracer(obs.NewTracer(obs.Config{SampleRate: traceRate, Ring: traceRing, Source: nodeID}))
 	eff := node.Serving.Config()
 	pool := parallel.Snapshot()
-	log.Printf("serving engine: max-batch %d, batch-wait %v, replicas %d, queue-depth %d; kernel pool: %d workers, grain %d",
-		eff.MaxBatch, eff.MaxWait, eff.Replicas, eff.QueueDepth, pool.Workers, pool.GrainWork)
+	log.Printf("serving engine: max-batch %d, replicas %d, queue-depth %d; kernel pool: %d workers, grain %d",
+		eff.MaxBatch, eff.Replicas, eff.QueueDepth, pool.Workers, pool.GrainWork)
 
 	const (
 		size    = 16

@@ -417,7 +417,10 @@ func TestClusterAutoscalerGrowsHotModel(t *testing.T) {
 			Min:       2,
 			Max:       3,
 			GrowQueue: 4,
-			GrowP95:   100 * time.Microsecond,
+			// The histogram's resolution: any model that has served a
+			// request reads hot, an idle one (p95 0) never does — the
+			// signal path is under test here, not how slow mlp is.
+			GrowP95:   time.Microsecond,
 			GrowAfter: 2,
 		},
 	})

@@ -30,12 +30,12 @@ type Inferer interface {
 //
 //	GET /ei_algorithms/serving/infer?model={name}&input={csv}[&deadline_ms=N][&tenant=name]
 //
-// which coalesces concurrent callers into micro-batches, and enables
-// GET /ei_metrics, the queue/batch/latency counters. Under overload the
-// infer route rejects with HTTP 429; a request whose deadline lapses in the
-// queue gets HTTP 408. The tenant parameter selects the admission and
-// scheduling class configured in serving.Config.Tenants; unknown or
-// missing tenants ride the default class.
+// which coalesces concurrent callers into batches while every replica is
+// busy, and enables GET /ei_metrics, the queue/batch/latency counters.
+// Under overload the infer route rejects with HTTP 429; a request whose
+// deadline lapses in the queue gets HTTP 408. The tenant parameter selects
+// the admission and scheduling class configured in serving.Config.Tenants;
+// unknown or missing tenants ride the default class.
 func (s *Server) SetEngine(e *serving.Engine) {
 	s.mu.Lock()
 	s.engine = e
@@ -177,6 +177,9 @@ func (s *Server) servingInfer(args url.Values) (any, error) {
 	total := time.Since(start)
 	tb.AddWithID(root, obs.StageInfer, tb.Parent(), start, total,
 		obs.Str("model", model), obs.Str("node", s.NodeID))
+	// Finish drops our reference and may recycle tb into another request:
+	// read the ID first, touch tb no more after.
+	traceID := tb.IDString()
 	tracer.Finish(tb, err != nil, total)
 	if err != nil {
 		return nil, err
@@ -192,7 +195,7 @@ func (s *Server) servingInfer(args url.Values) (any, error) {
 		TotalSteps: res.TotalSteps,
 		ServedBy:   res.Model,
 		Offloaded:  strings.HasPrefix(res.Model, "cloud:"),
-		TraceID:    tb.IDString(),
+		TraceID:    traceID,
 	}, nil
 }
 

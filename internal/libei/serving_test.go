@@ -1,8 +1,10 @@
 package libei
 
 import (
+	"context"
 	"encoding/json"
-	"math/rand"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,8 +15,10 @@ import (
 	"openei/internal/alem"
 	"openei/internal/hardware"
 	"openei/internal/nn"
+	"openei/internal/obs"
 	"openei/internal/pkgmgr"
 	"openei/internal/serving"
+	"openei/internal/tensor"
 )
 
 // servingNode builds a libei server whose engine fronts a parameter-free
@@ -34,15 +38,6 @@ func servingNode(t *testing.T, cfg serving.Config) (*Server, *httptest.Server) {
 	t.Cleanup(mgr.Close)
 	ident := nn.MustModel("ident", []int{4}, []nn.LayerSpec{{Type: "flatten"}})
 	if err := mgr.Load(ident, pkgmgr.LoadOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	heavy := nn.MustModel("heavy", []int{1024}, []nn.LayerSpec{
-		{Type: "dense", In: 1024, Out: 1024},
-		{Type: "relu"},
-		{Type: "dense", In: 1024, Out: 4},
-	})
-	heavy.InitParams(rand.New(rand.NewSource(2)))
-	if err := mgr.Load(heavy, pkgmgr.LoadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	s := NewServer("edge-1", nil, mgr)
@@ -107,32 +102,93 @@ func TestServingInferValidation(t *testing.T) {
 	}
 }
 
+// verdictInferer answers every request with a fixed engine verdict.
+type verdictInferer struct{ err error }
+
+func (v verdictInferer) Infer(context.Context, string, *tensor.Tensor) (serving.Result, error) {
+	return serving.Result{}, v.err
+}
+
+func (v verdictInferer) InferWithDeadline(string, *tensor.Tensor, time.Duration) (serving.Result, error) {
+	return serving.Result{}, v.err
+}
+
+// TestServingOverloadMapsTo429: the engine's shed and expiry verdicts
+// reach the client as HTTP 429 and 408 (and as the client's typed errors),
+// however deep in a wrapped error they arrive.
 func TestServingOverloadMapsTo429(t *testing.T) {
-	_, ts := servingNode(t, serving.Config{
-		MaxBatch: 1, MaxWait: time.Millisecond, Replicas: 1, QueueDepth: 1,
-	})
+	s, ts := servingNode(t, serving.Config{})
 	c := NewClient(ts.URL)
-	input := make([]float32, 1024)
-	const clients = 40
+	for _, tc := range []struct {
+		verdict error
+		status  string
+		want    error
+	}{
+		{fmt.Errorf("%w: model ident queue full (depth 64)", serving.ErrOverloaded), "status 429", ErrOverloaded},
+		{fmt.Errorf("%w: model ident: waited 3ms", serving.ErrDeadline), "status 408", ErrDeadline},
+	} {
+		s.SetInferer(verdictInferer{tc.verdict})
+		_, err := c.Infer("ident", []float32{0, 0, 1, 0}, 0)
+		if err == nil || !strings.Contains(err.Error(), tc.status) || !errors.Is(err, tc.want) {
+			t.Errorf("engine verdict %q surfaced as %v, want %s / %v", tc.verdict, err, tc.status, tc.want)
+		}
+	}
+	s.SetInferer(nil)
+	if _, err := c.Infer("ident", []float32{0, 0, 1, 0}, 0); err != nil {
+		t.Errorf("infer through the real engine again: %v", err)
+	}
+}
+
+// TestConcurrentTraceIDsAreTheRequestsOwn hammers one fully-sampled node
+// from concurrent clients, each asking for its own model, and resolves
+// every response's trace_id: the infer root stored under it must name that
+// client's model. A handler that reads the ID off a trace buffer it has
+// already released hands out whichever request recycled the buffer.
+func TestConcurrentTraceIDsAreTheRequestsOwn(t *testing.T) {
+	const (
+		clients = 8
+		rounds  = 100
+	)
+	s, ts := servingNode(t, serving.Config{})
+	tr := obs.NewTracer(obs.Config{SampleRate: 1, Ring: clients * rounds, Source: "edge-1"})
+	s.SetTracer(tr)
+	c := NewClient(ts.URL)
 	var wg sync.WaitGroup
-	var got429 bool
-	var mu sync.Mutex
-	for i := 0; i < clients; i++ {
+	for g := 0; g < clients; g++ {
+		model := fmt.Sprintf("ident-%d", g)
+		m := nn.MustModel(model, []int{4}, []nn.LayerSpec{{Type: "flatten"}})
+		if err := s.Manager.Load(m, pkgmgr.LoadOptions{}); err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Infer("heavy", input, 0)
-			if err != nil && strings.Contains(err.Error(), "status 429") {
-				mu.Lock()
-				got429 = true
-				mu.Unlock()
+			for i := 0; i < rounds; i++ {
+				res, err := c.Infer(model, []float32{0, 1, 0, 0}, 0)
+				if err != nil {
+					t.Errorf("%s round %d: %v", model, i, err)
+					return
+				}
+				id, ok := obs.ParseID(res.TraceID)
+				spans, kept := tr.Trace(id)
+				if !ok || !kept {
+					t.Errorf("%s round %d: trace_id %q does not resolve", model, i, res.TraceID)
+					return
+				}
+				var root obs.WireSpan
+				for _, sp := range spans {
+					if sp.Stage == obs.StageInfer {
+						root = sp
+					}
+				}
+				if root.Attrs["model"] != model {
+					t.Errorf("%s round %d: trace_id %s names the trace of a request for %v", model, i, res.TraceID, root.Attrs["model"])
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if !got429 {
-		t.Error("no request was rejected with 429 under overload")
-	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {

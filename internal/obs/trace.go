@@ -5,7 +5,7 @@
 // JSON metrics endpoints serve.
 //
 // The tracer is built for the serving hot path: an active trace is a
-// fixed-size span buffer drawn from a lock-free free list, spans append
+// fixed-size span buffer drawn from a free list, spans append
 // under a per-trace mutex that is never contended on the steady path, and
 // a request that ends unsampled returns its buffer without touching the
 // heap — the 0 allocs/op steady-state contract of the serving engine
@@ -31,8 +31,8 @@ const (
 	StagePick      = "pick"       // one routing decision (p2c over preference tiers)
 	StageAttempt   = "attempt"    // one proxied try against one node (retry/hedge = more)
 	StageInfer     = "infer"      // node admission → respond (root, node side)
-	StageQueueWait = "queue_wait" // tenant scheduler backlog (enqueue → scheduler pick)
-	StageBatchWait = "batch_wait" // batch assembly + handoff (scheduler pick → replica start)
+	StageQueueWait = "queue_wait" // tenant scheduler backlog (enqueue → a replica pulled it)
+	StageBatchWait = "batch_wait" // batch assembly (pull → execution start; microseconds)
 	StageExec      = "exec"       // replica plan execution (InferBatch)
 	StageOffload   = "offload"    // autopilot edge→cloud fallback hop
 )
@@ -114,11 +114,12 @@ type Tracer struct {
 	cfg       Config
 	threshold uint64 // head-sample verdict: id-derived hash < threshold
 
-	// Lock-free free list of recycled trace buffers, capacity-bounded.
-	// A hand-rolled stack instead of sync.Pool so a GC cycle cannot empty
-	// it — the unsampled steady path must never allocate.
-	free     atomic.Pointer[TraceBuf]
-	freeLen  atomic.Int64
+	// Free list of recycled trace buffers: a mutex-guarded stack of fixed
+	// capacity instead of sync.Pool, so a GC cycle cannot empty it — the
+	// unsampled steady path must never allocate.
+	freeMu sync.Mutex
+	free   []*TraceBuf
+
 	idSeq    atomic.Uint64
 	rndState atomic.Uint64
 
@@ -140,10 +141,23 @@ type Tracer struct {
 	index map[uint64]int
 }
 
-// stored is one kept trace in the ring.
+// stored is one kept trace in the ring, packed: the ring is what a busy
+// node's tracer holds live, and a recording Span reserves 240 bytes
+// whatever it uses. A kept span carries only the attributes it set, as a
+// window into one slice the trace shares.
 type stored struct {
 	id    uint64
-	spans []Span
+	spans []keptSpan
+	attrs []Attr
+}
+
+type keptSpan struct {
+	id, parent uint64
+	stage      string
+	startNS    int64 // Unix nanoseconds
+	dur        time.Duration
+	err        bool
+	attr0, n   uint8 // stored.attrs[attr0 : attr0+n]
 }
 
 const (
@@ -162,6 +176,7 @@ func NewTracer(cfg Config) *Tracer {
 	}
 	t := &Tracer{
 		cfg:   cfg,
+		free:  make([]*TraceBuf, 0, freeCap),
 		ring:  make([]stored, cfg.Ring),
 		index: make(map[uint64]int, cfg.Ring),
 	}
@@ -279,15 +294,14 @@ func ParseTraceContext(s string) (TraceContext, bool) {
 // drops — so a worker that outlives a cancelled caller still lands its
 // spans before the buffer is recycled.
 type TraceBuf struct {
-	t        *Tracer
-	id       uint64
-	parent   uint64 // propagated parent span (the gateway attempt)
-	root     uint64 // local root span ID (set once, before fan-out)
-	sampled  bool
-	refs     atomic.Int32
-	errFlag  atomic.Bool
-	totalNS  atomic.Int64
-	nextFree *TraceBuf
+	t       *Tracer
+	id      uint64
+	parent  uint64 // propagated parent span (the gateway attempt)
+	root    uint64 // local root span ID (set once, before fan-out)
+	sampled bool
+	refs    atomic.Int32
+	errFlag atomic.Bool
+	totalNS atomic.Int64
 
 	mu    sync.Mutex
 	spans [maxSpans]Span
@@ -324,31 +338,24 @@ func (t *Tracer) Begin(tc TraceContext) *TraceBuf {
 }
 
 func (t *Tracer) popFree() *TraceBuf {
-	for {
-		b := t.free.Load()
-		if b == nil {
-			return nil
-		}
-		if t.free.CompareAndSwap(b, b.nextFree) {
-			t.freeLen.Add(-1)
-			b.nextFree = nil
-			return b
-		}
+	t.freeMu.Lock()
+	defer t.freeMu.Unlock()
+	n := len(t.free)
+	if n == 0 {
+		return nil
 	}
+	b := t.free[n-1]
+	t.free[n-1] = nil
+	t.free = t.free[:n-1]
+	return b
 }
 
 func (t *Tracer) pushFree(b *TraceBuf) {
-	if t.freeLen.Load() >= freeCap {
-		return
+	t.freeMu.Lock()
+	if len(t.free) < cap(t.free) {
+		t.free = append(t.free, b)
 	}
-	t.freeLen.Add(1)
-	for {
-		head := t.free.Load()
-		b.nextFree = head
-		if t.free.CompareAndSwap(head, b) {
-			return
-		}
-	}
+	t.freeMu.Unlock()
 }
 
 // ID returns the trace ID (0 on nil).
@@ -541,16 +548,35 @@ func (t *Tracer) commit(b *TraceBuf) {
 		t.pushFree(b)
 		return
 	}
+	// Attr strings are often substrings of the HTTP request line (a path,
+	// a query value); the ring owns copies, or every kept trace would pin
+	// a multi-kilobyte URL for the sake of a model name.
 	b.mu.Lock()
-	spans := make([]Span, b.n)
-	copy(spans, b.spans[:b.n])
+	st := stored{id: b.id, spans: make([]keptSpan, b.n)}
+	nattrs := 0
+	for i := range st.spans {
+		nattrs += b.spans[i].nattrs
+	}
+	st.attrs = make([]Attr, 0, nattrs)
+	for i := range st.spans {
+		sp := &b.spans[i]
+		st.spans[i] = keptSpan{
+			id: sp.ID, parent: sp.Parent, stage: sp.Stage,
+			startNS: sp.Start.UnixNano(), dur: sp.Dur, err: sp.Err,
+			attr0: uint8(len(st.attrs)), n: uint8(sp.nattrs),
+		}
+		for _, a := range sp.Attrs() {
+			a.Str = strings.Clone(a.Str)
+			st.attrs = append(st.attrs, a)
+		}
+	}
 	b.mu.Unlock()
 	t.kept.Add(1)
 	t.mu.Lock()
 	if old := t.ring[t.next]; old.id != 0 && t.index[old.id] == t.next {
 		delete(t.index, old.id)
 	}
-	t.ring[t.next] = stored{id: b.id, spans: spans}
+	t.ring[t.next] = st
 	t.index[b.id] = t.next
 	t.next = (t.next + 1) % len(t.ring)
 	t.mu.Unlock()
@@ -564,17 +590,17 @@ func (t *Tracer) Trace(id uint64) ([]WireSpan, bool) {
 	}
 	t.mu.Lock()
 	idx, ok := t.index[id]
-	var spans []Span
+	var st stored
 	if ok {
-		spans = t.ring[idx].spans
+		st = t.ring[idx]
 	}
 	t.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	out := make([]WireSpan, len(spans))
-	for i := range spans {
-		out[i] = t.wire(id, &spans[i])
+	out := make([]WireSpan, len(st.spans))
+	for i, sp := range st.spans {
+		out[i] = t.wire(id, sp, st.attrs[sp.attr0:sp.attr0+sp.n])
 	}
 	return out, true
 }
@@ -597,22 +623,22 @@ func (t *Tracer) RecentIDs(n int) []string {
 	return out
 }
 
-func (t *Tracer) wire(trace uint64, sp *Span) WireSpan {
+func (t *Tracer) wire(trace uint64, sp keptSpan, attrs []Attr) WireSpan {
 	w := WireSpan{
 		TraceID:     IDString(trace),
-		SpanID:      IDString(sp.ID),
-		Stage:       sp.Stage,
+		SpanID:      IDString(sp.id),
+		Stage:       sp.stage,
 		Source:      t.cfg.Source,
-		StartUnixNS: sp.Start.UnixNano(),
-		DurationMS:  float64(sp.Dur) / float64(time.Millisecond),
-		Err:         sp.Err,
+		StartUnixNS: sp.startNS,
+		DurationMS:  float64(sp.dur) / float64(time.Millisecond),
+		Err:         sp.err,
 	}
-	if sp.Parent != 0 {
-		w.ParentID = IDString(sp.Parent)
+	if sp.parent != 0 {
+		w.ParentID = IDString(sp.parent)
 	}
-	if sp.nattrs > 0 {
-		w.Attrs = make(map[string]any, sp.nattrs)
-		for _, a := range sp.Attrs() {
+	if len(attrs) > 0 {
+		w.Attrs = make(map[string]any, len(attrs))
+		for _, a := range attrs {
 			if a.Str != "" {
 				w.Attrs[a.Key] = a.Str
 			} else {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTraceContextRoundTrip(t *testing.T) {
@@ -65,6 +66,28 @@ func TestErrorAlwaysKept(t *testing.T) {
 	spans, ok := tr.Trace(id)
 	if !ok || len(spans) != 1 {
 		t.Fatalf("errored trace not kept: ok=%v spans=%d", ok, len(spans))
+	}
+}
+
+// TestKeptAttrDoesNotAliasSource: attr strings are usually substrings of
+// the HTTP request line, so a kept trace must own copies of them — or
+// every ring slot pins a whole URL (tens of kB on big-input models).
+func TestKeptAttrDoesNotAliasSource(t *testing.T) {
+	tr := NewTracer(Config{SampleRate: 1})
+	line := "/ei_algorithms/serving/infer?model=lenet&input=" + strings.Repeat("0.5,", 1024)
+	model := line[strings.Index(line, "lenet"):][:5]
+	b := tr.Begin(TraceContext{})
+	id := b.ID()
+	b.Add(StageInfer, 0, time.Now(), time.Millisecond, Str("model", model), Int("status", 200))
+	tr.Finish(b, false, time.Millisecond)
+	tr.mu.Lock()
+	kept := tr.ring[tr.index[id]].attrs
+	tr.mu.Unlock()
+	if len(kept) != 2 || kept[0].Str != "lenet" || kept[1].Int != 200 {
+		t.Fatalf("kept attrs = %+v", kept)
+	}
+	if unsafe.StringData(kept[0].Str) == unsafe.StringData(model) {
+		t.Fatal("kept span's attr aliases the request line it was cut from")
 	}
 }
 

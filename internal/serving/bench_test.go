@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,12 +17,14 @@ import (
 	"openei/internal/zoo"
 )
 
-// The acceptance benchmark of the serving engine: 64 concurrent clients
+// The saturation benchmarks of the serving engine: 64 closed-loop clients
+// (each sends its next request only after the previous one is answered)
 // pushing single samples through a zoo model, comparing the seed's
 // per-request path (every request serialized through the package manager's
-// single scheduler worker) against the engine's micro-batched replica pool.
+// single scheduler worker) against the engine's batching replica pool at
+// its stock configuration.
 //
-//	go test ./internal/serving -bench Serving64 -benchtime 2s
+//	go test ./internal/serving -run '^$' -bench 'Serving(64Unbatched|Saturated)' -benchtime 2s
 
 const (
 	benchClients = 64
@@ -31,7 +34,9 @@ const (
 	benchModel = "mlp"
 )
 
-func benchManager(b *testing.B) (*pkgmgr.Manager, *tensor.Tensor) {
+// benchManager loads one quantized zoo model at size×size input and
+// returns a random sample for it.
+func benchManager(b *testing.B, model string, size int) (*pkgmgr.Manager, *tensor.Tensor) {
 	b.Helper()
 	pkg, err := alem.PackageByName("eipkg")
 	if err != nil {
@@ -43,9 +48,9 @@ func benchManager(b *testing.B) (*pkgmgr.Manager, *tensor.Tensor) {
 	}
 	mgr := pkgmgr.New(pkg, dev)
 	b.Cleanup(mgr.Close)
-	const size, classes = 16, 6
+	const classes = 6
 	rng := rand.New(rand.NewSource(1))
-	m, err := zoo.Build(benchModel, size, classes, rng)
+	m, err := zoo.Build(model, size, classes, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,33 +68,28 @@ func benchManager(b *testing.B) (*pkgmgr.Manager, *tensor.Tensor) {
 	return mgr, sample
 }
 
-// runClients spreads b.N requests over benchClients goroutines and reports
-// aggregate request throughput.
+// runClients splits b.N requests over benchClients closed-loop goroutines
+// (a shared counter hands out the work, so no feeder sits between the
+// clients and the engine) and reports aggregate request throughput.
 func runClients(b *testing.B, do func() error) {
 	b.Helper()
 	var wg sync.WaitGroup
-	work := make(chan struct{})
+	var next atomic.Int64
 	errs := make(chan error, benchClients)
+	b.ResetTimer()
+	start := time.Now()
 	for c := 0; c < benchClients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range work {
+			for next.Add(1) <= int64(b.N) {
 				if err := do(); err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
+					errs <- err
+					return
 				}
 			}
 		}()
 	}
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		work <- struct{}{}
-	}
-	close(work)
 	wg.Wait()
 	elapsed := time.Since(start)
 	b.StopTimer()
@@ -104,7 +104,7 @@ func runClients(b *testing.B, do func() error) {
 // BenchmarkServing64Unbatched is the seed path: Manager.Infer, one request
 // per forward pass, all serialized by the scheduler.
 func BenchmarkServing64Unbatched(b *testing.B) {
-	mgr, sample := benchManager(b)
+	mgr, sample := benchManager(b, benchModel, 16)
 	batched := sample.Clone().MustReshape(1, 1, 16, 16)
 	runClients(b, func() error {
 		_, err := mgr.Infer(benchModel, batched)
@@ -112,16 +112,28 @@ func BenchmarkServing64Unbatched(b *testing.B) {
 	})
 }
 
-// BenchmarkServing64Batched is the engine path: micro-batching plus a
-// replica pool.
-func BenchmarkServing64Batched(b *testing.B) {
-	mgr, sample := benchManager(b)
-	e := NewEngine(mgr, Config{MaxBatch: 16, MaxWait: 2 * time.Millisecond, Replicas: 4, QueueDepth: 1024})
-	b.Cleanup(e.Close)
-	runClients(b, func() error {
-		_, err := e.Infer(context.Background(), benchModel, sample)
-		return err
-	})
+// BenchmarkServingSaturated is the engine path under saturation at the
+// stock Config: more clients than replicas, so requests coalesce while
+// every replica is busy. Besides req/s it reports the mean batch size and
+// the engine's own enqueue→response p50.
+func BenchmarkServingSaturated(b *testing.B) {
+	for _, tc := range []struct {
+		model string
+		size  int
+	}{{"mlp", 16}, {"vgg-m", 32}} {
+		b.Run(tc.model, func(b *testing.B) {
+			mgr, sample := benchManager(b, tc.model, tc.size)
+			e := NewEngine(mgr, Config{})
+			b.Cleanup(e.Close)
+			runClients(b, func() error {
+				_, err := e.Infer(context.Background(), tc.model, sample)
+				return err
+			})
+			st := e.Stats()[0]
+			b.ReportMetric(st.AvgBatch, "avg_batch")
+			b.ReportMetric(st.P50MS, "p50_ms")
+		})
+	}
 }
 
 // BenchmarkReplicaInferMLP is the zero-allocation acceptance benchmark:
@@ -129,7 +141,7 @@ func BenchmarkServing64Batched(b *testing.B) {
 // 0 allocs/op once its arena is warm — activations come from the arena,
 // scratch from pools, and the cost model from the cached workload.
 func BenchmarkReplicaInferMLP(b *testing.B) {
-	mgr, sample := benchManager(b)
+	mgr, sample := benchManager(b, benchModel, 16)
 	rep, err := mgr.NewReplica(benchModel)
 	if err != nil {
 		b.Fatal(err)
@@ -214,7 +226,7 @@ func TestReplicaInferenceSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkTracedInfer measures the tracer's overhead on the engine's
-// request path: the same micro-batched infer loop with tracing off, and
+// request path: the same batched infer loop with tracing off, and
 // with every request traced at sample rate 1.0. The off case is the
 // guard — compiled-in tracing must cost nothing when no trace buffer
 // rides the context.
@@ -222,8 +234,8 @@ func TestReplicaInferenceSteadyStateAllocs(t *testing.T) {
 //	go test ./internal/serving -bench TracedInfer -benchtime 2s
 func BenchmarkTracedInfer(b *testing.B) {
 	run := func(b *testing.B, tr *obs.Tracer) {
-		mgr, sample := benchManager(b)
-		e := NewEngine(mgr, Config{MaxBatch: 16, MaxWait: 2 * time.Millisecond, Replicas: 4, QueueDepth: 1024})
+		mgr, sample := benchManager(b, benchModel, 16)
+		e := NewEngine(mgr, Config{MaxBatch: 16, Replicas: 4, QueueDepth: 1024})
 		b.Cleanup(e.Close)
 		runClients(b, func() error {
 			ctx := context.Background()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"openei/internal/nn"
 	"openei/internal/pkgmgr"
@@ -39,7 +38,7 @@ func rnnSample(width int, seed int64) *tensor.Tensor {
 func TestServingEarlyExitMetrics(t *testing.T) {
 	const T = 6
 	_, e := newTestEngine(t, rnnServingModel("rnn-serve", T, 4, 8, 3), Config{
-		MaxBatch: 4, MaxWait: time.Millisecond, Replicas: 1, QueueDepth: 32,
+		MaxBatch: 4, Replicas: 1, QueueDepth: 32,
 	})
 
 	// Pipeline not built yet: no threshold to report.
@@ -111,7 +110,7 @@ func TestServingEarlyExitMetrics(t *testing.T) {
 func TestExitThresholdSurvivesRebuild(t *testing.T) {
 	const T = 5
 	_, e := newTestEngine(t, rnnServingModel("rnn-rebuild", T, 3, 8, 3), Config{
-		MaxBatch: 2, MaxWait: time.Millisecond, Replicas: 1, QueueDepth: 16,
+		MaxBatch: 2, Replicas: 1, QueueDepth: 16,
 	})
 	if _, err := e.SetExitThreshold("rnn-rebuild", 0.25); err != nil {
 		t.Fatal(err)
@@ -137,7 +136,7 @@ func TestExitThresholdSurvivesRebuild(t *testing.T) {
 func TestConfigExitThresholdSeedsPipelines(t *testing.T) {
 	const T = 4
 	mgr, e := newTestEngine(t, rnnServingModel("rnn-cfg", T, 3, 8, 3), Config{
-		MaxBatch: 2, MaxWait: time.Millisecond, Replicas: 1, QueueDepth: 16,
+		MaxBatch: 2, Replicas: 1, QueueDepth: 16,
 		ExitThreshold: 0.3,
 	})
 	if err := mgr.Load(denseModel("mlp-cfg", 6, 8, 3), pkgmgr.LoadOptions{}); err != nil {

@@ -19,8 +19,8 @@ type modelMetrics struct {
 	errored  atomic.Uint64 // inference errors, counted per request
 	done     atomic.Uint64 // successful responses
 
-	batches      atomic.Uint64 // micro-batches dispatched
-	batchedReqs  atomic.Uint64 // sum of dispatched batch sizes
+	batches      atomic.Uint64 // batches executed
+	batchedReqs  atomic.Uint64 // sum of executed batch sizes
 	largestBatch atomic.Uint64
 
 	queuedNS  atomic.Uint64 // total pre-execution wait of done requests
@@ -32,8 +32,9 @@ type modelMetrics struct {
 	hist latencyHistogram
 
 	// Stage decomposition of every completed request: scheduler backlog
-	// (enqueue → scheduler pick), batch assembly (pick → replica start),
-	// and plan execution (InferBatch). Permanent HDR histograms plus
+	// (enqueue → a replica pulled it), batch assembly (pull → execution
+	// start: the deadline gate and stacking, microseconds), and plan
+	// execution (InferBatch). Permanent HDR histograms plus
 	// duration sums for the Prometheus histogram export.
 	qwHist latencyHistogram
 	bwHist latencyHistogram
@@ -163,8 +164,8 @@ type ModelStats struct {
 	P99MS float64 `json:"p99_ms"`
 
 	// Stage decomposition of completed requests (present once any have
-	// completed): scheduler backlog, batch assembly wait, and plan
-	// execution. The three sum to ≈ avg_latency_ms.
+	// completed): scheduler backlog, batch assembly, and plan execution.
+	// The three sum to ≈ avg_latency_ms.
 	QueueWait *StageLatency `json:"queue_wait_ms,omitempty"`
 	BatchWait *StageLatency `json:"batch_wait_ms,omitempty"`
 	Exec      *StageLatency `json:"exec_ms,omitempty"`

@@ -17,7 +17,7 @@ type request struct {
 	tenant   *tenantState
 	deadline time.Time // zero means none
 	enq      time.Time
-	deq      time.Time     // scheduler pick time (stamped at q.take)
+	deq      time.Time     // when a replica pulled it off the queue
 	resp     chan response // buffered(1): workers never block on it
 
 	// tb is the request's trace buffer (nil when untraced). The engine
@@ -44,28 +44,40 @@ type response struct {
 	err error
 }
 
-// pipeline is one model's queue → micro-batcher → replica pool chain.
+// pipeline is one model's queue → replica pool chain. There is no
+// dispatcher between the two: each replica worker pulls its own batch, so
+// an idle replica answers at once and requests coalesce only while every
+// replica is busy — the wait is the running batch's execution, never a
+// timer.
 type pipeline struct {
 	model      string
 	cfg        Config
 	inputShape []int
 
-	q       *schedQueue
-	batches chan []*request
-	quit    chan struct{}
-	met     modelMetrics
-	wg      sync.WaitGroup
+	q    *schedQueue
+	quit chan struct{}
+	met  modelMetrics
+	wg   sync.WaitGroup
 	// reps is the replica pool. Each replica is confined to its worker
 	// goroutine except for the early-exit threshold knob, which is the
 	// plan's one atomic field and may be flipped from the engine.
 	reps []*pkgmgr.Replica
 
-	// sendMu makes close() a barrier against in-flight submits: once
-	// closed is set under the write lock, no request can enter the queue,
-	// so the dispatcher's shutdown sweep sees every queued request and
-	// nothing is ever stranded without a response.
+	// sendMu makes stop() a barrier against in-flight submits: once
+	// closed is set under the write lock, no request can enter the queue
+	// and every queued request has its token in q.ready, so draining
+	// workers see the whole backlog, the shutdown sweep sees what they
+	// left, and nothing is ever stranded without a response.
 	sendMu sync.RWMutex
 	closed bool
+	// drain (written before quit closes) tells workers to answer the
+	// backlog before exiting instead of leaving it to the sweep.
+	drain bool
+
+	// hold, when set by an in-package test before any request is
+	// submitted, runs on the worker right before each InferBatch: a test
+	// parks the replica there to build a backlog deterministically.
+	hold func()
 }
 
 func newPipeline(model string, cfg Config, tenants *tenantTable, reps []*pkgmgr.Replica) *pipeline {
@@ -74,7 +86,6 @@ func newPipeline(model string, cfg Config, tenants *tenantTable, reps []*pkgmgr.
 		cfg:        cfg,
 		inputShape: reps[0].InputShape(),
 		q:          newSchedQueue(cfg.QueueDepth, tenants),
-		batches:    make(chan []*request),
 		quit:       make(chan struct{}),
 		reps:       reps,
 	}
@@ -87,8 +98,7 @@ func newPipeline(model string, cfg Config, tenants *tenantTable, reps []*pkgmgr.
 		p.met.totalSteps = reps[0].RNNSteps()
 		p.met.exitStats = make([]exitStat, p.met.totalSteps)
 	}
-	p.wg.Add(1 + len(reps))
-	go p.dispatch()
+	p.wg.Add(len(reps))
 	for _, r := range reps {
 		go p.work(r)
 	}
@@ -149,73 +159,6 @@ func (p *pipeline) submit(req *request) error {
 	return fmt.Errorf("%w: model %s queue full (depth %d)", ErrOverloaded, p.model, p.cfg.QueueDepth)
 }
 
-// dispatch coalesces queued requests into micro-batches, receiving them
-// in the scheduler's order: strict priority tiers first, weighted-fair
-// within a tier.
-func (p *pipeline) dispatch() {
-	defer p.wg.Done()
-	defer close(p.batches)
-	for {
-		var first *request
-		select {
-		case <-p.quit:
-			p.sweep()
-			return
-		case <-p.q.ready:
-			first = p.q.take()
-		}
-		if first == nil {
-			continue
-		}
-		first.deq = time.Now()
-		batch := p.expireStale(p.fill(first))
-		if len(batch) == 0 {
-			continue
-		}
-		p.met.observeBatch(len(batch))
-		p.batches <- batch
-	}
-}
-
-// fill grows a batch from the queue until MaxBatch, MaxWait after the first
-// request, or shutdown.
-func (p *pipeline) fill(first *request) []*request {
-	batch := []*request{first}
-	if p.cfg.MaxBatch <= 1 {
-		return batch
-	}
-	timer := time.NewTimer(p.cfg.MaxWait)
-	defer timer.Stop()
-	for len(batch) < p.cfg.MaxBatch {
-		select {
-		case <-p.q.ready:
-			if r := p.q.take(); r != nil {
-				r.deq = time.Now()
-				batch = append(batch, r)
-			}
-		case <-timer.C:
-			return batch
-		case <-p.quit:
-			return batch
-		}
-	}
-	return batch
-}
-
-// expireStale drops requests whose deadline passed while queued.
-func (p *pipeline) expireStale(batch []*request) []*request {
-	now := time.Now()
-	live := batch[:0]
-	for _, r := range batch {
-		if !r.deadline.IsZero() && now.After(r.deadline) {
-			p.expire(r, now)
-			continue
-		}
-		live = append(live, r)
-	}
-	return live
-}
-
 // expire answers one request with ErrDeadline and accounts it.
 func (p *pipeline) expire(r *request, now time.Time) {
 	p.met.expired.Add(1)
@@ -225,7 +168,7 @@ func (p *pipeline) expire(r *request, now time.Time) {
 }
 
 // sweep rejects everything still queued at shutdown. submit cannot add more
-// once pipeline.close has flipped closed, so this sees the final queue.
+// once stop has flipped closed, so this sees the final queue.
 func (p *pipeline) sweep() {
 	for _, r := range p.q.drainAll() {
 		r.finishTrace(true)
@@ -233,34 +176,70 @@ func (p *pipeline) sweep() {
 	}
 }
 
-// work is one replica's loop: stack a batch, run it, fan results back out.
-// The sample slice is reused across batches so the steady-state loop stays
+// next blocks until a request is queued and returns the scheduler's pick
+// (strict priority tiers first, weighted-fair within a tier), or nil once
+// the pipeline is stopping and this worker has nothing left to answer.
+func (p *pipeline) next() *request {
+	select {
+	case <-p.q.ready:
+		return p.q.take()
+	case <-p.quit:
+		if p.drain {
+			return p.poll()
+		}
+		return nil
+	}
+}
+
+// poll takes the scheduler's pick if a request is queued right now.
+func (p *pipeline) poll() *request {
+	select {
+	case <-p.q.ready:
+		return p.q.take()
+	default:
+		return nil
+	}
+}
+
+// work is one replica's loop: pull a batch, run it, fan results back out.
+// The batch is the first queued request plus whatever else is already
+// queued, up to MaxBatch — it never waits for stragglers. The request and
+// sample slices are reused across batches so the steady-state loop stays
 // off the heap (the replica's own activations already are, via its arena).
 func (p *pipeline) work(rep *pkgmgr.Replica) {
 	defer p.wg.Done()
 	var xs []*tensor.Tensor
-	live := make([]*request, 0, p.cfg.MaxBatch)
-	for batch := range p.batches {
-		// Deadline hygiene at the last gate: a request can expire between
-		// dequeue (where expireStale last checked) and this execution
-		// start — e.g. while the batch sat behind a slow predecessor in
-		// the batches channel. Running it anyway would burn kernel time on
-		// an answer nobody is waiting for; drop it with ErrDeadline now.
+	batch := make([]*request, 0, p.cfg.MaxBatch)
+	for first := p.next(); first != nil; first = p.next() {
+		batch = append(batch[:0], first)
+		for len(batch) < p.cfg.MaxBatch {
+			r := p.poll()
+			if r == nil {
+				break
+			}
+			batch = append(batch, r)
+		}
+		// Deadline hygiene at the only gate: running a request whose
+		// deadline lapsed in the queue would burn kernel time on an answer
+		// nobody is waiting for; drop it with ErrDeadline instead.
 		now := time.Now()
-		live = live[:0]
+		live := batch[:0]
+		xs = xs[:0]
 		for _, r := range batch {
 			if !r.deadline.IsZero() && now.After(r.deadline) {
 				p.expire(r, now)
 				continue
 			}
+			r.deq = now
 			live = append(live, r)
+			xs = append(xs, r.x)
 		}
 		if len(live) == 0 {
 			continue
 		}
-		xs = xs[:0]
-		for _, r := range live {
-			xs = append(xs, r.x)
+		p.met.observeBatch(len(live))
+		if p.hold != nil {
+			p.hold()
 		}
 		start := time.Now()
 		res, err := rep.InferBatch(xs)
@@ -291,10 +270,13 @@ func (p *pipeline) work(rep *pkgmgr.Replica) {
 			r.tenant.met.hist.Observe(total)
 			r.tenant.met.observeStages(qw, bw, ex)
 			if r.tb != nil {
+				// Stage starts are offsets from enq, not the stamps' own wall
+				// readings, so the three spans abut exactly even when a
+				// stamp's wall and monotonic reads were taken apart.
 				root := r.tb.Root()
 				r.tb.Add(obs.StageQueueWait, root, r.enq, qw)
-				r.tb.Add(obs.StageBatchWait, root, r.deq, bw)
-				r.tb.Add(obs.StageExec, root, start, ex,
+				r.tb.Add(obs.StageBatchWait, root, r.enq.Add(qw), bw)
+				r.tb.Add(obs.StageExec, root, r.enq.Add(qw+bw), ex,
 					obs.Str("model", p.model),
 					obs.Int("batch", int64(len(live))),
 					obs.Int("steps_used", int64(stepsUsed)))
@@ -344,39 +326,21 @@ func (p *pipeline) setExitThreshold(thr float64) bool {
 	return p.met.earlyExit
 }
 
-// drain retires the pipeline without dropping anything: new submits are
-// rejected (the engine redirects them to the pipeline that replaced this
-// one), but everything already queued is batched and answered before the
-// workers exit. It is the swap-out half of Engine.Swap.
-func (p *pipeline) drain() {
+// stop retires the pipeline: new submits are rejected with ErrClosed (a
+// live engine redirects them to the pipeline that replaced this one) and
+// the call returns once every worker has exited and every request has been
+// answered. With drain set nothing is dropped — workers answer the whole
+// backlog first (the swap-out half of Engine.Swap and SetReplicas);
+// otherwise they finish their in-flight batch and what is still queued is
+// rejected with ErrClosed.
+func (p *pipeline) stop(drain bool) {
 	p.sendMu.Lock()
-	if p.closed {
-		p.sendMu.Unlock()
-		p.wg.Wait()
-		return
+	if !p.closed {
+		p.closed = true
+		p.drain = drain
+		close(p.quit)
 	}
-	p.closed = true
 	p.sendMu.Unlock()
-	// No submit can enter past this point, so the queue only shrinks; once
-	// it is empty the shutdown sweep has nothing to reject.
-	for p.q.len() > 0 {
-		time.Sleep(200 * time.Microsecond)
-	}
-	close(p.quit)
 	p.wg.Wait()
-}
-
-// close stops the pipeline: blocks new submits, lets the dispatcher sweep
-// the queue, and waits for replica workers to finish in-flight batches.
-func (p *pipeline) close() {
-	p.sendMu.Lock()
-	if p.closed {
-		p.sendMu.Unlock()
-		p.wg.Wait()
-		return
-	}
-	p.closed = true
-	p.sendMu.Unlock()
-	close(p.quit)
-	p.wg.Wait()
+	p.sweep()
 }

@@ -9,12 +9,13 @@ import "sync"
 // cap, preserving the engine's shed-don't-buffer admission contract.
 //
 // Channel select semantics are preserved through a token channel: every
-// push deposits one token in ready after the request is queued, so a
-// dispatcher can select on ready/quit/timer exactly as it did on the raw
-// request channel, then call take() to receive the scheduler's pick. The
-// invariant is tokens ≤ queued requests — a received token always finds
-// a request (only the shutdown sweep drains requests without tokens, and
-// it runs strictly after the dispatcher stops selecting).
+// push deposits one token in ready after the request is queued, so the
+// replica workers can select on ready/quit (or poll ready) exactly as they
+// would on a raw request channel, then call take() to receive the
+// scheduler's pick. The invariant is tokens ≤ queued requests — a received
+// token always finds a request, whichever worker holds it (only the
+// shutdown sweep drains requests without tokens, and it runs strictly
+// after every worker has exited).
 type schedQueue struct {
 	ready chan struct{}
 
@@ -143,7 +144,7 @@ func (q *schedQueue) len() int {
 
 // drainAll empties every FIFO, returning the stranded requests so the
 // shutdown sweep can answer them. Tokens left in ready are abandoned —
-// the dispatcher has already stopped selecting on it.
+// every worker has already exited.
 func (q *schedQueue) drainAll() []*request {
 	q.mu.Lock()
 	defer q.mu.Unlock()

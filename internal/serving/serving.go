@@ -5,15 +5,17 @@
 //
 // Architecture, per model:
 //
-//		clients → bounded queue → micro-batcher → replica pool → responses
+//		clients → bounded queue → replica pool (each pulls its batch) → responses
 //
 //	  - Admission control: the queue is bounded (Config.QueueDepth). When it
 //	    is full the request is rejected immediately with ErrOverloaded, which
 //	    libei maps to HTTP 429 — shedding load beats queueing it forever.
-//	  - Micro-batching: a dispatcher coalesces up to Config.MaxBatch queued
-//	    single-sample requests, waiting at most Config.MaxWait for stragglers
-//	    after the first arrival, and stacks them into one batch tensor
-//	    (Clipper/TF-Serving-style dynamic batching).
+//	  - Work-conserving batching: a free replica takes the scheduler's next
+//	    request plus whatever else is already queued, up to Config.MaxBatch,
+//	    and stacks them into one batch tensor. Nothing ever waits for
+//	    stragglers: an idle replica answers a lone request at once, and
+//	    requests coalesce only while every replica is busy, when the wait
+//	    is the running batch's execution time and costs nothing extra.
 //	  - Replica pool: Config.Replicas private clones of the model execute
 //	    batches concurrently. This deliberately bypasses the package
 //	    manager's single-worker real-time scheduler: the scheduler protects a
@@ -55,11 +57,9 @@ var (
 
 // Config tunes the serving engine. The zero value means defaults.
 type Config struct {
-	// MaxBatch is the largest micro-batch assembled per dispatch (default 8).
+	// MaxBatch is the largest batch a replica pulls off the queue at once
+	// (default 8).
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// stragglers (default 2ms). Smaller favors latency, larger throughput.
-	MaxWait time.Duration
 	// Replicas is the number of model clones executing batches
 	// concurrently (default 2).
 	Replicas int
@@ -98,9 +98,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 2
@@ -387,7 +384,7 @@ func (e *Engine) Swap(public, target string) error {
 	}
 	e.mu.Unlock()
 	if oldPipe != nil {
-		go oldPipe.drain()
+		go oldPipe.stop(true)
 	}
 	return nil
 }
@@ -451,7 +448,7 @@ func (e *Engine) SetReplicas(model string, n int) error {
 	e.pipes[actual] = newPipeline(actual, cfg, e.tenants, reps)
 	e.mu.Unlock()
 	if old != nil {
-		go old.drain()
+		go old.stop(true)
 	}
 	return nil
 }
@@ -537,7 +534,7 @@ func (e *Engine) Reset(model string) {
 	closed := e.closed
 	e.mu.Unlock()
 	if ok && !closed {
-		p.close()
+		p.stop(false)
 	}
 }
 
@@ -586,6 +583,6 @@ func (e *Engine) Close() {
 	}
 	e.mu.Unlock()
 	for _, p := range pipes {
-		p.close()
+		p.stop(false)
 	}
 }

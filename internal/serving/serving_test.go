@@ -65,33 +65,84 @@ func newTestEngine(t *testing.T, m *nn.Model, cfg Config) (*pkgmgr.Manager, *Eng
 	return mgr, e
 }
 
+// holdReplicas parks every replica of the model's pipeline at the
+// pipeline's pre-execution hook, each holding one blocker request, so a
+// test can build a backlog that no replica is free to take. The returned
+// func frees the replicas and waits for the blockers' answers.
+func holdReplicas(t *testing.T, e *Engine, model string, x *tensor.Tensor) (release func()) {
+	t.Helper()
+	p, err := e.pipelineFor(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	parked := make(chan struct{})
+	p.hold = func() {
+		select {
+		case parked <- struct{}{}:
+			<-gate
+		case <-gate:
+		}
+	}
+	var blockers sync.WaitGroup
+	for i := 0; i < p.met.replicas; i++ {
+		blockers.Add(1)
+		go func() {
+			defer blockers.Done()
+			if _, err := e.Infer(context.Background(), model, x); err != nil {
+				t.Errorf("blocker request: %v", err)
+			}
+		}()
+		<-parked // one at a time, or a replica would batch two blockers
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(gate)
+			blockers.Wait()
+		})
+	}
+	t.Cleanup(release) // a failing test must not leave Close waiting on a parked replica
+	return release
+}
+
+// enqueue submits one request straight to the model's pipeline — what
+// Engine.infer does once admission has passed — so the test knows it is
+// queued when this returns. The answer arrives on the request's resp.
+func enqueue(t *testing.T, e *Engine, model string, x *tensor.Tensor, deadline time.Time) *request {
+	t.Helper()
+	p, err := e.pipelineFor(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &request{x: x, tenant: e.tenants.resolve(""), deadline: deadline, enq: time.Now(), resp: make(chan response, 1)}
+	if err := p.submit(req); err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
 func TestBatchCoalescing(t *testing.T) {
 	const n = 8
-	_, e := newTestEngine(t, identModel(n), Config{
-		MaxBatch: n, MaxWait: 300 * time.Millisecond, Replicas: 1, QueueDepth: 32,
-	})
-	// The first request opens a 300ms fill window; the stragglers arrive
-	// well inside it, so all n requests ride one micro-batch.
-	var wg sync.WaitGroup
-	results := make([]Result, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if i > 0 {
-				time.Sleep(20 * time.Millisecond) // let request 0 open the window
-			}
-			results[i], errs[i] = e.Infer(context.Background(), "ident", oneHot(n, i))
-		}(i)
+	_, e := newTestEngine(t, identModel(n), Config{MaxBatch: n, Replicas: 1, QueueDepth: 32})
+	// While the lone replica is busy, n requests pile up in the queue; the
+	// moment it frees up it takes all of them as one batch.
+	release := holdReplicas(t, e, "ident", oneHot(n, 0))
+	reqs := make([]*request, n)
+	for i := range reqs {
+		reqs[i] = enqueue(t, e, "ident", oneHot(n, i), time.Time{})
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+	release()
+	for i, req := range reqs {
+		r := <-req.resp
+		if r.err != nil {
+			t.Fatalf("request %d: %v", i, r.err)
 		}
-		if results[i].Class != i {
-			t.Errorf("request %d classified as %d (batch fan-out misrouted)", i, results[i].Class)
+		if r.res.Class != i {
+			t.Errorf("request %d classified as %d (batch fan-out misrouted)", i, r.res.Class)
+		}
+		if r.res.BatchSize != n {
+			t.Errorf("request %d rode a batch of %d, want %d", i, r.res.BatchSize, n)
 		}
 	}
 	st := e.Stats()
@@ -101,120 +152,125 @@ func TestBatchCoalescing(t *testing.T) {
 	if st[0].Kernels == "" {
 		t.Error("model stats missing kernel dispatch (want e.g. \"packed-fma\" or \"scalar\")")
 	}
-	if st[0].Batches != 1 || st[0].LargestBatch != n {
-		t.Errorf("expected one micro-batch of %d, got %d batches (largest %d)",
+	// Two batches: the blocker alone, then the n that queued behind it.
+	if st[0].Batches != 2 || st[0].LargestBatch != n {
+		t.Errorf("expected the blocker plus one batch of %d, got %d batches (largest %d)",
 			n, st[0].Batches, st[0].LargestBatch)
 	}
-	if st[0].Completed != n || st[0].AvgBatch != n {
-		t.Errorf("completed=%d avg_batch=%v, want %d and %d", st[0].Completed, st[0].AvgBatch, n, n)
+	if st[0].Completed != n+1 || st[0].AvgBatch != float64(n+1)/2 {
+		t.Errorf("completed=%d avg_batch=%v, want %d and %v", st[0].Completed, st[0].AvgBatch, n+1, float64(n+1)/2)
+	}
+}
+
+// TestIdleReplicaAnswersAtOnce pins the work-conserving half: with a free
+// replica a lone request is a batch of one — nothing waits for company.
+func TestIdleReplicaAnswersAtOnce(t *testing.T) {
+	_, e := newTestEngine(t, identModel(4), Config{MaxBatch: 8, Replicas: 1})
+	for i := 0; i < 3; i++ {
+		res, err := e.Infer(context.Background(), "ident", oneHot(4, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Class != i || res.BatchSize != 1 {
+			t.Errorf("request %d: class %d in a batch of %d, want class %d alone", i, res.Class, res.BatchSize, i)
+		}
+	}
+	if st := e.Stats(); st[0].Batches != 3 || st[0].AvgBatch != 1 {
+		t.Errorf("batches=%d avg_batch=%v, want 3 batches of 1", st[0].Batches, st[0].AvgBatch)
 	}
 }
 
 func TestDeadlineExpiresInQueue(t *testing.T) {
-	// MaxWait far exceeds the request deadline and nothing else arrives to
-	// fill the batch, so the deadline lapses while the request waits.
-	_, e := newTestEngine(t, identModel(4), Config{
-		MaxBatch: 8, MaxWait: 250 * time.Millisecond, Replicas: 1, QueueDepth: 8,
-	})
-	_, err := e.InferWithDeadline("ident", oneHot(4, 1), 30*time.Millisecond)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
+	_, e := newTestEngine(t, identModel(4), Config{MaxBatch: 8, Replicas: 1, QueueDepth: 8})
+	release := holdReplicas(t, e, "ident", oneHot(4, 0))
+	req := enqueue(t, e, "ident", oneHot(4, 1), time.Now().Add(time.Millisecond))
+	<-time.After(2 * time.Millisecond) // the budget lapses while the replica is busy
+	release()
+	if r := <-req.resp; !errors.Is(r.err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", r.err)
 	}
-	if st := e.Stats(); st[0].ExpiredDeadline != 1 {
-		t.Errorf("expired_deadline = %d, want 1", st[0].ExpiredDeadline)
+	if st := e.Stats(); st[0].ExpiredDeadline != 1 || st[0].Completed != 1 {
+		t.Errorf("expired_deadline=%d completed=%d, want 1 and 1 (the blocker)", st[0].ExpiredDeadline, st[0].Completed)
 	}
 }
 
 func TestContextDeadlineHonored(t *testing.T) {
-	_, e := newTestEngine(t, identModel(4), Config{
-		MaxBatch: 8, MaxWait: 250 * time.Millisecond, Replicas: 1, QueueDepth: 8,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	_, e := newTestEngine(t, identModel(4), Config{MaxBatch: 8, Replicas: 1, QueueDepth: 8})
+	release := holdReplicas(t, e, "ident", oneHot(4, 0))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
+	// The replica stays busy, so the caller is let go by its own context.
 	_, err := e.Infer(ctx, "ident", oneHot(4, 0))
 	if !errors.Is(err, ErrDeadline) && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline error", err)
 	}
+	// The request it left behind is dropped at the gate, not executed.
+	release()
+	p, err := e.pipelineFor("ident")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.stop(true)
+	if st := p.stats(); st.ExpiredDeadline != 1 || st.Completed != 1 {
+		t.Errorf("expired_deadline=%d completed=%d, want 1 and 1 (the blocker)", st.ExpiredDeadline, st.Completed)
+	}
 }
 
 func TestBackpressureRejectsWhenQueueFull(t *testing.T) {
-	// A deliberately heavy MLP keeps the lone replica busy while a flood of
-	// clients hammers a depth-1 queue: most must bounce with ErrOverloaded.
-	_, e := newTestEngine(t, denseModel("heavy", 1024, 1024, 8), Config{
-		MaxBatch: 1, MaxWait: time.Millisecond, Replicas: 1, QueueDepth: 1,
-	})
-	const clients = 50
-	x := tensor.New(1024)
-	var wg sync.WaitGroup
-	var overloaded, ok, other int
-	var mu sync.Mutex
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := e.Infer(context.Background(), "heavy", x)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				ok++
-			case errors.Is(err, ErrOverloaded):
-				overloaded++
-			default:
-				other++
-			}
-		}()
+	const depth = 3
+	_, e := newTestEngine(t, identModel(4), Config{MaxBatch: 1, Replicas: 1, QueueDepth: depth})
+	release := holdReplicas(t, e, "ident", oneHot(4, 0))
+	// The replica is busy and depth requests fill the queue behind it: the
+	// next one must bounce, and none of the admitted ones may.
+	reqs := make([]*request, depth)
+	for i := range reqs {
+		reqs[i] = enqueue(t, e, "ident", oneHot(4, 1), time.Time{})
 	}
-	wg.Wait()
-	if other != 0 {
-		t.Fatalf("unexpected errors: %d", other)
+	if _, err := e.Infer(context.Background(), "ident", oneHot(4, 2)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submit to a full queue: err = %v, want ErrOverloaded", err)
 	}
-	if overloaded == 0 {
-		t.Errorf("no request was shed; backpressure is not engaging (ok=%d)", ok)
-	}
-	if ok == 0 {
-		t.Errorf("every request was shed; admission control is too aggressive")
+	release()
+	for i, req := range reqs {
+		if r := <-req.resp; r.err != nil {
+			t.Errorf("admitted request %d failed: %v", i, r.err)
+		}
 	}
 	st := e.Stats()
-	if st[0].RejectedOverload != uint64(overloaded) {
-		t.Errorf("rejected_overload = %d, want %d", st[0].RejectedOverload, overloaded)
+	if st[0].RejectedOverload != 1 || st[0].Completed != depth+1 {
+		t.Errorf("rejected_overload=%d completed=%d, want 1 and %d", st[0].RejectedOverload, st[0].Completed, depth+1)
 	}
 }
 
 func TestReplicaPoolRoutesResultsToRequests(t *testing.T) {
-	const classes = 8
-	_, e := newTestEngine(t, identModel(classes), Config{
-		MaxBatch: 8, MaxWait: time.Millisecond, Replicas: 4, QueueDepth: 256,
-	})
-	const total = 200
-	var wg sync.WaitGroup
-	errCh := make(chan error, total)
-	for i := 0; i < total; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			want := i % classes
-			res, err := e.Infer(context.Background(), "ident", oneHot(classes, want))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if res.Class != want {
-				t.Errorf("request %d: class %d, want %d (cross-replica result mixup)", i, res.Class, want)
-			}
-		}(i)
+	const (
+		classes  = 8
+		replicas = 4
+		total    = 200
+	)
+	_, e := newTestEngine(t, identModel(classes), Config{MaxBatch: 8, Replicas: replicas, QueueDepth: 256})
+	// Every replica is held while the backlog builds, so on release they
+	// drain it concurrently, in batches.
+	release := holdReplicas(t, e, "ident", oneHot(classes, 0))
+	reqs := make([]*request, total)
+	for i := range reqs {
+		reqs[i] = enqueue(t, e, "ident", oneHot(classes, i%classes), time.Time{})
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatalf("infer: %v", err)
+	release()
+	for i, req := range reqs {
+		r := <-req.resp
+		if r.err != nil {
+			t.Fatalf("request %d: %v", i, r.err)
+		}
+		if want := i % classes; r.res.Class != want {
+			t.Errorf("request %d: class %d, want %d (cross-replica result mixup)", i, r.res.Class, want)
+		}
 	}
 	st := e.Stats()
-	if st[0].Completed != total {
-		t.Errorf("completed = %d, want %d", st[0].Completed, total)
+	if st[0].Completed != total+replicas {
+		t.Errorf("completed = %d, want %d", st[0].Completed, total+replicas)
 	}
-	if st[0].Batches >= total {
-		t.Errorf("no coalescing happened under %d concurrent clients (%d batches)", total, st[0].Batches)
+	if st[0].LargestBatch != 8 || st[0].Batches >= total {
+		t.Errorf("a %d-deep backlog was not coalesced: %d batches, largest %d", total, st[0].Batches, st[0].LargestBatch)
 	}
 }
 
@@ -299,7 +355,7 @@ func TestResetPicksUpReloadedWeights(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.MaxBatch <= 0 || cfg.MaxWait <= 0 || cfg.Replicas <= 0 || cfg.QueueDepth <= 0 {
+	if cfg.MaxBatch <= 0 || cfg.Replicas <= 0 || cfg.QueueDepth <= 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }

@@ -73,7 +73,7 @@ func TestSwapUnknownTarget(t *testing.T) {
 // answer (drain-and-replace may reject nothing).
 func TestSwapUnderLoadZeroDrops(t *testing.T) {
 	e := loadTwoTiers(t, Config{
-		Replicas: 2, MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 4096,
+		Replicas: 2, MaxBatch: 8, QueueDepth: 4096,
 	})
 	const (
 		clients   = 16

@@ -130,7 +130,7 @@ func TestStrictPriorityDispatch(t *testing.T) {
 // served, per-tenant counters consistent.
 func TestPriorityEndToEnd(t *testing.T) {
 	e := tenantEngine(t, Config{
-		Replicas: 1, MaxBatch: 4, MaxWait: time.Millisecond, QueueDepth: 256,
+		Replicas: 1, MaxBatch: 4, QueueDepth: 256,
 		Tenants: []TenantConfig{
 			{Name: "safety_video", Priority: 10},
 			{Name: "smart_home", Priority: 0},
@@ -229,29 +229,33 @@ func TestSchedQueueCapacitySharedAcrossTenants(t *testing.T) {
 	}
 }
 
-// TestPreExecutionDeadlineDrop proves a request whose deadline expires
-// after dequeue but before execution start is answered with ErrDeadline
-// instead of burning a kernel run: with MaxWait far beyond the deadline,
-// the batch assembles after the deadline has already lapsed.
+// TestPreExecutionDeadlineDrop proves a request whose deadline lapsed
+// while it queued is answered with ErrDeadline at the replica's gate
+// instead of burning a kernel run, without costing its live batch-mates
+// anything: they run as the smaller batch.
 func TestPreExecutionDeadlineDrop(t *testing.T) {
-	e := tenantEngine(t, Config{
-		Replicas: 1, MaxBatch: 4, MaxWait: 300 * time.Millisecond, QueueDepth: 16,
-	})
+	e := tenantEngine(t, Config{Replicas: 1, MaxBatch: 4, QueueDepth: 16})
 	x := hotSample(t, 0)
-	start := time.Now()
-	_, err := e.InferWithDeadline("ident", x, 30*time.Millisecond)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
+	release := holdReplicas(t, e, "ident", x)
+	stale := enqueue(t, e, "ident", x, time.Now().Add(time.Millisecond))
+	live := enqueue(t, e, "ident", x, time.Time{})
+	<-time.After(2 * time.Millisecond) // the stale request's budget lapses
+	release()
+	if r := <-stale.resp; !errors.Is(r.err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", r.err)
 	}
-	if waited := time.Since(start); waited < 25*time.Millisecond {
-		t.Errorf("request failed after %v, before its deadline", waited)
+	if r := <-live.resp; r.err != nil || r.res.BatchSize != 1 {
+		t.Errorf("live request: err %v, batch of %d; want a batch of 1 (the expired one dropped out)", r.err, r.res.BatchSize)
 	}
 	st := e.Stats()
-	if len(st) != 1 || st[0].ExpiredDeadline == 0 {
-		t.Errorf("expired_deadline not counted: %+v", st)
+	if len(st) != 1 || st[0].ExpiredDeadline != 1 || st[0].Completed != 2 {
+		t.Errorf("expired_deadline/completed not 1/2: %+v", st)
 	}
 	if st[0].Errors != 0 {
 		t.Errorf("errors = %d, want 0 (expiry is not an inference error)", st[0].Errors)
+	}
+	if ts := e.TenantStats(); len(ts) != 1 || ts[0].ExpiredDeadline != 1 {
+		t.Errorf("tenant expired_deadline not 1: %+v", ts)
 	}
 }
 

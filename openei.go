@@ -10,8 +10,9 @@
 //   - a package manager (inference, local/transfer training, real-time ML),
 //   - a model selector (the ALEM-constrained optimizer of Equation 1),
 //   - libei (the RESTful API of Figure 6) over the node's datastore,
-//   - a serving engine that coalesces concurrent inference requests into
-//     micro-batches and runs them on a pool of model replicas.
+//   - a serving engine whose pool of model replicas pull concurrent
+//     inference requests off a bounded queue, coalescing them into batches
+//     only while every replica is busy.
 //
 // A minimal deployment:
 //
@@ -25,9 +26,9 @@
 // Config.Serving tunes the inference serving path (Node.ServeInfer and the
 // /ei_algorithms/serving/infer route):
 //
-//   - MaxBatch — largest micro-batch assembled per dispatch (default 8);
-//   - MaxWait — how long the first request waits for stragglers before the
-//     batch is dispatched anyway (default 2ms);
+//   - MaxBatch — the most queued requests a free replica takes as one
+//     batch (default 8); batching is work-conserving, so nothing waits
+//     for a batch to fill and a lone request runs at once;
 //   - Replicas — model clones executing batches concurrently (default 2);
 //   - QueueDepth — bounded per-model queue; a full queue rejects
 //     immediately with ErrOverloaded, which libei maps to HTTP 429
@@ -126,11 +127,11 @@ type (
 	// §V.C).
 	ResultCache = pkgmgr.ResultCache
 	// ServingEngine is the node's dynamic-batching inference engine:
-	// per-model bounded queues, micro-batch coalescing, and a replica
-	// pool, fronted by /ei_algorithms/serving/infer.
+	// per-model bounded queues drained by a replica pool that batches
+	// whatever is waiting, fronted by /ei_algorithms/serving/infer.
 	ServingEngine = serving.Engine
-	// ServingConfig tunes the serving engine (MaxBatch, MaxWait,
-	// Replicas, QueueDepth); the zero value means defaults.
+	// ServingConfig tunes the serving engine (MaxBatch, Replicas,
+	// QueueDepth); the zero value means defaults.
 	ServingConfig = serving.Config
 	// ServingResult is one request's share of a batched inference.
 	ServingResult = serving.Result
@@ -213,9 +214,9 @@ type Config struct {
 	Package string
 	// DataWindow is the realtime window per sensor; default 64.
 	DataWindow int
-	// Serving tunes the inference serving engine (micro-batch size and
-	// wait, replica count, queue depth). The zero value uses defaults;
-	// see ServingConfig.
+	// Serving tunes the inference serving engine (batch size, replica
+	// count, queue depth). The zero value uses defaults; see
+	// ServingConfig.
 	Serving ServingConfig
 	// Autopilot is the SLO policy for runtime tier switching and
 	// edge→cloud offload. It takes effect when EnableAutopilot is called
@@ -523,8 +524,8 @@ func (n *Node) Infer(modelName string, x *Tensor) ([]int, []float64, error) {
 }
 
 // ServeInfer pushes one single-sample request through the serving engine:
-// it is coalesced with concurrent callers into a micro-batch and executed
-// on a model replica. Under overload it fails fast with ErrOverloaded; a
+// a free model replica executes it at once, batched with whatever else
+// was already queued. Under overload it fails fast with ErrOverloaded; a
 // deadline (ServeInferWithin) that lapses in the queue fails with
 // ErrServeDeadline.
 func (n *Node) ServeInfer(modelName string, x *Tensor) (ServingResult, error) {
