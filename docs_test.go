@@ -1,6 +1,8 @@
 package openei
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -26,6 +28,8 @@ var docFiles = []string{
 }
 
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+
+var goRunCmd = regexp.MustCompile("go run (\\./[^\\s`'\"]+)")
 
 // TestDocsLinks is the docs lint: every relative markdown link in the
 // doc set must resolve to a file that exists in the repo.
@@ -56,6 +60,44 @@ func TestDocsLinks(t *testing.T) {
 	}
 }
 
+// TestDocsCommands is the docs lint for runnable commands: every
+// `go run ./<path>` in the doc set must name a directory that holds a
+// main package, so a deleted or moved command fails CI instead of
+// leaving instructions that cannot run.
+func TestDocsCommands(t *testing.T) {
+	for _, f := range docFiles {
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Errorf("doc file missing: %v", err)
+			continue
+		}
+		for _, m := range goRunCmd.FindAllStringSubmatch(string(body), -1) {
+			if !isMainPackage(m[1]) {
+				t.Errorf("%s: %q is not a main package", f, "go run "+m[1])
+			}
+		}
+	}
+}
+
+// isMainPackage reports whether dir holds a non-test Go file declaring
+// package main.
+func isMainPackage(dir string) bool {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return false
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly)
+		if err == nil && f.Name.Name == "main" {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDocsCurrent pins the claims most likely to rot: the README must
 // not resurrect the removed layer-walk fallback, and the docs the
 // README links as its companions must mention the subsystems this
@@ -71,9 +113,8 @@ func TestDocsCurrent(t *testing.T) {
 	for _, want := range []string{
 		"-exit-threshold", "mean_steps_used", "fastgrnn-m", "-trace-sample", "/gw_trace", "-debug-addr",
 		// The kernel arsenal: the backend list includes int4, kernel
-		// dispatch is documented as observable, and the bench
-		// trajectory tooling is discoverable.
-		"int4", "packed-fma", "OPENEI_FORCE_SCALAR", "benchdiff", "docs/KERNELS.md",
+		// dispatch is documented as observable.
+		"int4", "packed-fma", "OPENEI_FORCE_SCALAR", "docs/KERNELS.md",
 	} {
 		if !strings.Contains(string(readme), want) {
 			t.Errorf("README does not mention %q", want)
@@ -85,9 +126,9 @@ func TestDocsCurrent(t *testing.T) {
 	}
 	for _, want := range []string{
 		// The dispatch names the metrics surface, the scalar override,
-		// the contracts callers must not break, and the snapshot flow.
+		// and the contracts callers must not break.
 		"packed-fma", "qgemm-avx2", "direct-conv", "scalar", "OPENEI_FORCE_SCALAR",
-		"QRound8", "slack", "per-output-channel scales", "benchdiff", "BENCH_",
+		"QRound8", "slack", "per-output-channel scales",
 	} {
 		if !strings.Contains(string(kernels), want) {
 			t.Errorf("docs/KERNELS.md does not document %q", want)

@@ -211,41 +211,9 @@ func TopConfidence(m *Model, x *tensor.Tensor) ([]int, []float64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cls, conf, err := topConfidence(probs, nil, nil)
-	return cls, conf, err
-}
-
-// TopConfidenceArena is TopConfidence for the zero-allocation serving
-// path: activations come from the arena and the class/confidence outputs
-// reuse the caller's buffers (pass the previous call's slices back in;
-// they are returned re-sliced, grown only when the batch outgrows them).
-func TopConfidenceArena(m *Model, x *tensor.Tensor, a *tensor.Arena, cls []int, conf []float64) ([]int, []float64, error) {
-	logits, err := m.ForwardArena(x, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	probs := a.NewUninitLike(logits)
-	if err := SoftmaxInto(probs, logits); err != nil {
-		return nil, nil, err
-	}
-	return topConfidence(probs, cls, conf)
-}
-
-// topConfidence extracts per-row argmax and probability from a 2-D
-// probability tensor into (possibly recycled) cls/conf buffers.
-func topConfidence(probs *tensor.Tensor, cls []int, conf []float64) ([]int, []float64, error) {
-	if probs.Dims() != 2 {
-		return nil, nil, fmt.Errorf("%w: confidence needs 2-D probabilities, got %v", ErrShape, probs.Shape())
-	}
 	batch, classes := probs.Dim(0), probs.Dim(1)
-	if cap(cls) < batch {
-		cls = make([]int, batch)
-	}
-	cls = cls[:batch]
-	if cap(conf) < batch {
-		conf = make([]float64, batch)
-	}
-	conf = conf[:batch]
+	cls := make([]int, batch)
+	conf := make([]float64, batch)
 	for b := 0; b < batch; b++ {
 		row := probs.Data()[b*classes : (b+1)*classes]
 		arg := 0

@@ -261,19 +261,6 @@ func (m *Model) ParamCount() int64 {
 	return n
 }
 
-// NonZeroParamCount counts parameters that survive pruning.
-func (m *Model) NonZeroParamCount() int64 {
-	var n int64
-	for _, p := range m.Params() {
-		for _, v := range p.Data() {
-			if v != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // FLOPs returns the forward cost at the given batch size.
 func (m *Model) FLOPs(batch int) int64 {
 	var n int64
@@ -284,7 +271,8 @@ func (m *Model) FLOPs(batch int) int64 {
 }
 
 // ActivationBytes estimates the peak activation memory (bytes, float32) for
-// one sample: the two largest consecutive activation shapes.
+// one sample as the sum of the two largest activation shapes anywhere in
+// the model (input included), whether or not they are adjacent layers.
 func (m *Model) ActivationBytes() int64 {
 	shape := m.InputShape
 	best1, best2 := int64(prod(shape)), int64(0)

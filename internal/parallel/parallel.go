@@ -37,6 +37,11 @@ var (
 	helpers int  // running worker goroutines (procs-1; the caller is a worker too)
 	started bool // tasks channel initialized and helpers spawned
 
+	// Pool capacity (wall ns × width) accumulated up to widthSince, the
+	// last width change; utilization divides busy time by it.
+	capacityNS float64
+	widthSince time.Time
+
 	procs     atomic.Int32 // configured width, 0 = not yet initialized
 	grainWork atomic.Int64 // serial cutoff in fused-op units, 0 = default
 
@@ -49,7 +54,6 @@ var (
 	statSerial   atomic.Uint64 // Do calls that ran inline
 	statChunks   atomic.Uint64 // shards executed
 	statBusyNS   atomic.Uint64 // summed shard execution time
-	startNS      atomic.Int64  // pool start time, for utilization
 )
 
 // job is one Do invocation. Shards are claimed by atomically advancing
@@ -76,7 +80,7 @@ func ensure() {
 	}
 	started = true
 	tasks = make(chan *job, 1024)
-	startNS.Store(time.Now().UnixNano())
+	widthSince = time.Now()
 	p := int(procs.Load())
 	if p == 0 {
 		p = runtime.GOMAXPROCS(0)
@@ -116,6 +120,9 @@ func SetProcs(p int) {
 	mu.Lock()
 	defer mu.Unlock()
 	ensure() // initialize tasks before publishing the new width
+	now := time.Now()
+	capacityNS += float64(now.Sub(widthSince)) * float64(procs.Load())
+	widthSince = now
 	procs.Store(int32(p))
 	for helpers < p-1 {
 		helpers++
@@ -285,8 +292,9 @@ type Stats struct {
 	Chunks uint64 `json:"chunks"`
 	// BusyMS is the summed shard execution time across all workers.
 	BusyMS float64 `json:"busy_ms"`
-	// Utilization is BusyMS over pool-lifetime wall time × Workers: the
-	// fraction of the pool's capacity spent inside kernels.
+	// Utilization is BusyMS over the pool's lifetime capacity (wall time
+	// × the width in force at the time): the fraction of that capacity
+	// spent inside kernels.
 	Utilization float64 `json:"utilization"`
 }
 
@@ -301,11 +309,11 @@ func Snapshot() Stats {
 	}
 	busy := statBusyNS.Load()
 	s.BusyMS = float64(busy) / 1e6
-	if t0 := startNS.Load(); t0 > 0 && s.Workers > 0 {
-		wall := time.Now().UnixNano() - t0
-		if wall > 0 {
-			s.Utilization = float64(busy) / (float64(wall) * float64(s.Workers))
-		}
+	mu.Lock()
+	capacity := capacityNS + float64(time.Since(widthSince))*float64(procs.Load())
+	mu.Unlock()
+	if capacity > 0 {
+		s.Utilization = float64(busy) / capacity
 	}
 	return s
 }

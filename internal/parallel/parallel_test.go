@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withPool forces a deterministic pool configuration for a test and
@@ -191,5 +192,26 @@ func TestSnapshotCounters(t *testing.T) {
 	}
 	if after.Utilization < 0 || after.Utilization > 1.000001 {
 		t.Errorf("utilization %v out of range", after.Utilization)
+	}
+}
+
+// Utilization is busy time over the capacity the pool actually had:
+// shrinking the pool after a busy stretch must not inflate the ratio.
+func TestUtilizationAfterShrink(t *testing.T) {
+	withPool(t, 4, 1)
+	// Start the accounting window here, so earlier tests' idle time
+	// cannot mask an over-count.
+	mu.Lock()
+	capacityNS, widthSince = 0, time.Now()
+	mu.Unlock()
+	statBusyNS.Store(0)
+	// Four shards on four workers, each busy for 5ms of its own time.
+	Do(4, 1, func(lo, hi int) {
+		for start := time.Now(); time.Since(start) < 5*time.Millisecond; {
+		}
+	})
+	SetProcs(1)
+	if u := Snapshot().Utilization; u <= 0 || u > 1 {
+		t.Errorf("utilization %v after shrinking 4 -> 1 workers, want (0, 1]", u)
 	}
 }

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"openei/internal/parallel"
 )
@@ -212,18 +211,4 @@ func QDot(a, b []int8) int32 {
 		s0 += int32(a[i]) * int32(b[i])
 	}
 	return s + s0 + s1 + s2 + s3
-}
-
-// QuantizeError returns the mean absolute error introduced by quantizing t.
-func QuantizeError(t *Tensor) float64 {
-	if t.Len() == 0 {
-		return 0
-	}
-	q := Quantize(t)
-	d := q.Dequantize()
-	var s float64
-	for i := range t.data {
-		s += math.Abs(float64(t.data[i] - d.data[i]))
-	}
-	return s / float64(t.Len())
 }
