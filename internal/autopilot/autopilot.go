@@ -194,7 +194,7 @@ type Pilot struct {
 	cur       int
 	goodTicks int
 	badTicks  int
-	prev      map[string]serving.LatencySnapshot
+	prev      map[string]obs.HistogramSnapshot
 	history   []SwitchEvent
 	lastP95   time.Duration
 
@@ -226,7 +226,7 @@ type Pilot struct {
 	// measure reads a model's cumulative latency distribution; it is
 	// eng.LatencyOf outside tests (which substitute synthetic snapshots
 	// to drive the state machine deterministically).
-	measure func(model string) (serving.LatencySnapshot, bool)
+	measure func(model string) (obs.HistogramSnapshot, bool)
 }
 
 // New validates the policy, filters the ladder to tiers satisfying the
@@ -273,7 +273,7 @@ func New(eng *serving.Engine, alias string, tiers []TierSpec, pol Policy, off Of
 	}
 	p := &Pilot{
 		eng: eng, alias: alias, tiers: ladder, pol: pol, off: off,
-		prev:    map[string]serving.LatencySnapshot{},
+		prev:    map[string]obs.HistogramSnapshot{},
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		measure: eng.LatencyOf,
@@ -365,7 +365,7 @@ func (p *Pilot) Step(now time.Time) {
 	model := p.tiers[p.cur].Model
 	snap, ok := p.measure(model)
 	if !ok {
-		snap = serving.LatencySnapshot{}
+		snap = obs.HistogramSnapshot{}
 	}
 	delta := snap.Sub(p.prev[model])
 	p.prev[model] = snap

@@ -12,6 +12,7 @@ import (
 	"openei/internal/alem"
 	"openei/internal/hardware"
 	"openei/internal/nn"
+	"openei/internal/obs"
 	"openei/internal/pkgmgr"
 	"openei/internal/selector"
 	"openei/internal/serving"
@@ -69,9 +70,9 @@ func twoTierEngine(t *testing.T) *serving.Engine {
 // bucketFor finds the snapshot bucket whose upper bound covers d by
 // probing single-bucket snapshots through the exported Quantile.
 func bucketFor(d time.Duration) int {
-	var s serving.LatencySnapshot
+	var s obs.HistogramSnapshot
 	for i := range s.Buckets {
-		var probe serving.LatencySnapshot
+		var probe obs.HistogramSnapshot
 		probe.Buckets[i] = 1
 		probe.Count = 1
 		if probe.Quantile(1) >= d {
@@ -84,7 +85,7 @@ func bucketFor(d time.Duration) int {
 // feed is a synthetic telemetry source: add(n, d) appends n observations
 // at latency d to the cumulative snapshot the pilot will measure.
 type feed struct {
-	snap serving.LatencySnapshot
+	snap obs.HistogramSnapshot
 }
 
 func (f *feed) add(n uint64, d time.Duration) {
@@ -92,7 +93,7 @@ func (f *feed) add(n uint64, d time.Duration) {
 	f.snap.Count += n
 }
 
-func (f *feed) measure(string) (serving.LatencySnapshot, bool) { return f.snap, true }
+func (f *feed) measure(string) (obs.HistogramSnapshot, bool) { return f.snap, true }
 
 // stubOffloader counts offloads and answers a fixed class.
 type stubOffloader struct {

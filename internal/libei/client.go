@@ -76,9 +76,9 @@ type Client struct {
 	HTTPClient *http.Client
 
 	// Lifetime transport counters (the gateway's per-node view).
-	nRequests atomic.Uint64
-	nErrors   atomic.Uint64
-	latencyNS atomic.Uint64
+	nRequests   atomic.Uint64
+	nErrors     atomic.Uint64
+	roundTripNS atomic.Uint64 // summed round-trip time
 }
 
 // NewClient returns a client for the node at baseURL.
@@ -101,7 +101,7 @@ func (c *Client) httpClient() *http.Client {
 // loser whose context ends says nothing about the node's link.
 func (c *Client) observe(start time.Time, err error) {
 	c.nRequests.Add(1)
-	c.latencyNS.Add(uint64(time.Since(start)))
+	c.roundTripNS.Add(uint64(time.Since(start)))
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		c.nErrors.Add(1)
 	}
@@ -121,7 +121,7 @@ func (c *Client) Stats() ClientStats {
 	n := c.nRequests.Load()
 	s := ClientStats{Requests: n, TransportErrors: c.nErrors.Load()}
 	if n > 0 {
-		s.AvgLatencyMS = float64(c.latencyNS.Load()) / float64(n) / 1e6
+		s.AvgLatencyMS = float64(c.roundTripNS.Load()) / float64(n) / 1e6
 	}
 	return s
 }

@@ -224,7 +224,10 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request, scenari
 	args := r.URL.Query()
 	// AlgorithmFunc deliberately sees only url.Values; propagated trace
 	// context rides in under a reserved key so the infer route can adopt
-	// the caller's trace without widening the signature.
+	// the caller's trace without widening the signature. Only the header
+	// may set it: a client's own ?_trace= would otherwise choose its
+	// trace ID and force its sampling verdict.
+	args.Del(obs.TraceArg)
 	if h := r.Header.Get(obs.TraceHeader); h != "" {
 		args.Set(obs.TraceArg, h)
 	}

@@ -191,6 +191,41 @@ func TestConcurrentTraceIDsAreTheRequestsOwn(t *testing.T) {
 	wg.Wait()
 }
 
+// TestClientCannotForgeTraceContext: trace context reaches the infer
+// route only from the X-Openei-Trace header. A direct client that puts
+// the reserved _trace key in its own query must get a fresh trace ID and
+// the node's own sampling verdict (rate 0: nothing kept), not the
+// forged ID and verdict.
+func TestClientCannotForgeTraceContext(t *testing.T) {
+	s, ts := servingNode(t, serving.Config{})
+	tr := obs.NewTracer(obs.Config{SampleRate: 0, Source: "edge-1"})
+	s.SetTracer(tr)
+	const forgedID = "0000000000abcdef"
+	url := ts.URL + "/ei_algorithms/serving/infer?model=ident&input=0,0,1,0&" +
+		obs.TraceArg + "=" + forgedID + "-0000000000000007-1"
+	for i := 0; i < 5; i++ {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			OK     bool        `json:"ok"`
+			Result InferResult `json:"result"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || !env.OK {
+			t.Fatalf("request %d: ok=%v err=%v", i, env.OK, err)
+		}
+		if env.Result.TraceID == "" || env.Result.TraceID == forgedID {
+			t.Fatalf("request %d: trace_id %q, want a fresh ID, not the client's forged one", i, env.Result.TraceID)
+		}
+	}
+	if st := tr.Stats(); st.Started != 5 || st.Kept != 0 {
+		t.Fatalf("tracer stats %+v, want 5 started and none kept at sample rate 0", st)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts := servingNode(t, serving.Config{})
 	c := NewClient(ts.URL)

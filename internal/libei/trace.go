@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"openei/internal/obs"
-	"openei/internal/serving"
 )
 
 // Tracing and Prometheus exposition for the node API:
@@ -88,30 +87,6 @@ func (s *Server) handleProm(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WriteProm(w, "openei", m)
 	if e := s.Engine(); e != nil {
-		obs.WriteHistograms(w, PromHistograms(e.HistogramExports()))
+		obs.WriteHistograms(w, "openei", e.HistogramExports())
 	}
-}
-
-// PromHistograms converts the serving engine's raw histogram exports to
-// renderable Prometheus histograms: per-model families under
-// openei_serving_<stage>_ms{model=...}, per-tenant under
-// openei_tenant_<stage>_ms{tenant=...}.
-func PromHistograms(exports []serving.HistogramExport) []obs.Histogram {
-	out := make([]obs.Histogram, 0, len(exports))
-	for _, e := range exports {
-		group := "serving"
-		if e.Label == "tenant" {
-			group = "tenant"
-		}
-		uppers, cums := e.Snap.CumBuckets()
-		out = append(out, obs.Histogram{
-			Name:      "openei_" + group + "_" + e.Stage + "_ms",
-			Labels:    []obs.Label{{Key: e.Label, Value: e.Value}},
-			UpperMS:   uppers,
-			CumCounts: cums,
-			Count:     e.Snap.Count,
-			SumMS:     float64(e.SumNS) / 1e6,
-		})
-	}
-	return out
 }

@@ -1,4 +1,4 @@
-package serving
+package obs
 
 import (
 	"math/bits"
@@ -6,15 +6,18 @@ import (
 	"time"
 )
 
-// latencyHistogram is an HDR-style log-linear histogram of request
-// latencies: each power-of-two octave of microseconds is split into
-// histSub linear sub-buckets, bounding the relative quantile error at
-// ~1/histSub (±6%) while keeping observation a single atomic increment —
-// no lock on the serving hot path, and cheap enough to run even when the
-// autopilot is off.
-type latencyHistogram struct {
+// Histogram is the process's one latency distribution: an HDR-style
+// log-linear histogram where each power-of-two octave of microseconds is
+// split into histSub linear sub-buckets, bounding the relative quantile
+// error at ~1/histSub (±6%) while keeping observation a few atomic adds —
+// no lock on the serving hot path. It backs the serving engine's model,
+// tenant and exit-head stats, the autopilot's per-tick quantiles, the
+// tracer's tail threshold and the Prometheus histogram families. The zero
+// value is ready to use.
+type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
+	sumNS   atomic.Uint64
 }
 
 const (
@@ -38,7 +41,6 @@ func histIndex(d time.Duration) int {
 		shift = 0
 	}
 	if shift > histMaxShift {
-		shift = histMaxShift
 		return histBuckets - 1
 	}
 	return shift*histSub + int(us>>uint(shift))
@@ -56,40 +58,50 @@ func histUpperBound(idx int) time.Duration {
 	return time.Duration(us) * time.Microsecond
 }
 
-// Observe records one latency.
-func (h *latencyHistogram) Observe(d time.Duration) {
+// octaveUpperBound is the upper edge of the octave row (power-of-two
+// band, 2^k−1 µs) holding d.
+func octaveUpperBound(d time.Duration) time.Duration {
+	return histUpperBound(histIndex(d) | (histSub - 1))
+}
+
+// Observe records one duration and returns the number recorded so far,
+// this one included.
+func (h *Histogram) Observe(d time.Duration) uint64 {
 	h.buckets[histIndex(d)].Add(1)
-	h.count.Add(1)
+	h.sumNS.Add(uint64(d))
+	return h.count.Add(1)
 }
 
 // Snapshot copies the histogram's counters.
-func (h *latencyHistogram) Snapshot() LatencySnapshot {
-	var s LatencySnapshot
-	// Total is read first: racing observers can only make bucket sums ≥
-	// Total, never leave a quantile rank pointing past the counted mass.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	var s HistogramSnapshot
+	// Count is read first: racing observers can only make bucket sums ≥
+	// Count, never leave a quantile rank pointing past the counted mass.
 	s.Count = h.count.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
+	s.Sum = time.Duration(h.sumNS.Load())
 	return s
 }
 
-// LatencySnapshot is a point-in-time copy of a model's latency histogram.
-// Subtracting two snapshots yields the distribution of an interval, which
-// is what the autopilot's control loop quantizes each tick.
-type LatencySnapshot struct {
+// HistogramSnapshot is a point-in-time copy of a Histogram. Subtracting
+// two snapshots yields the distribution of an interval, which is what
+// the autopilot's control loop quantizes each tick.
+type HistogramSnapshot struct {
 	Buckets [histBuckets]uint64
 	Count   uint64
+	Sum     time.Duration // total observed duration
 }
 
-// Sub returns the distribution observed since prev. A pipeline that was
-// swapped out and rebuilt restarts its counters; a shrinking total is
+// Sub returns the distribution observed since prev. A histogram that was
+// discarded and rebuilt restarts its counters; a shrinking count is
 // detected and the current snapshot is returned whole.
-func (s LatencySnapshot) Sub(prev LatencySnapshot) LatencySnapshot {
+func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
 	if s.Count < prev.Count {
 		return s
 	}
-	d := LatencySnapshot{Count: s.Count - prev.Count}
+	d := HistogramSnapshot{Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum}
 	for i := range s.Buckets {
 		if s.Buckets[i] >= prev.Buckets[i] {
 			d.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
@@ -100,7 +112,7 @@ func (s LatencySnapshot) Sub(prev LatencySnapshot) LatencySnapshot {
 
 // Quantile estimates the q-quantile (q in [0,1]) as the upper bound of the
 // bucket holding that rank; 0 when the snapshot is empty.
-func (s LatencySnapshot) Quantile(q float64) time.Duration {
+func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
@@ -133,24 +145,4 @@ func (s LatencySnapshot) Quantile(q float64) time.Duration {
 		return histUpperBound(last)
 	}
 	return 0
-}
-
-// CumBuckets collapses the log-linear distribution to its octave
-// boundaries — one cumulative count per power-of-two upper bound, ~28
-// buckets — the granularity the Prometheus histogram exposition uses.
-// Returned slices are parallel: uppersMS[i] is the bucket bound in
-// milliseconds, cums[i] the cumulative count at or under it.
-func (s LatencySnapshot) CumBuckets() (uppersMS []float64, cums []uint64) {
-	n := histBuckets / histSub
-	uppersMS = make([]float64, n)
-	cums = make([]uint64, n)
-	var cum uint64
-	for o := 0; o < n; o++ {
-		for i := o * histSub; i < (o+1)*histSub; i++ {
-			cum += s.Buckets[i]
-		}
-		uppersMS[o] = float64(histUpperBound((o+1)*histSub-1)) / float64(time.Millisecond)
-		cums[o] = cum
-	}
-	return uppersMS, cums
 }

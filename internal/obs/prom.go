@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // This file renders Prometheus text exposition format 0.0.4 from the
@@ -27,7 +28,7 @@ import (
 //   - slices of unlabeled structs → synthetic idx label
 //
 // Histograms (the HDR latency/stage histograms) are rendered separately
-// by WriteHistograms from explicit bucket exports, since raw buckets are
+// by WriteHistograms from Histogram snapshots, since raw buckets are
 // deliberately absent from the JSON view.
 
 // labelKeys are json tags treated as identifying labels rather than
@@ -294,57 +295,57 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// Label is one name/value pair on an exported histogram.
-type Label struct{ Key, Value string }
-
-// Histogram is an explicit bucket export for WriteHistograms. Name must
-// be fully qualified (namespace included); UpperMS/CumCounts are the
-// cumulative distribution, and an implicit +Inf bucket equal to Count is
-// appended on render.
-type Histogram struct {
-	Name      string
-	Labels    []Label
-	UpperMS   []float64
-	CumCounts []uint64
-	Count     uint64
-	SumMS     float64
+// PromHistogram is one histogram series for WriteHistograms: a family
+// name under the namespace, the identifying label (model or tenant), and
+// the distribution.
+type PromHistogram struct {
+	Name         string
+	Label, Value string
+	Snap         HistogramSnapshot
 }
 
-// WriteHistograms renders HDR histogram exports as Prometheus histogram
-// families. Histograms sharing a Name are grouped under one TYPE header.
-func WriteHistograms(w io.Writer, hs []Histogram) {
+// WriteHistograms renders histogram snapshots as Prometheus histogram
+// families named ns_<Name>, one cumulative bucket per octave row (le in
+// milliseconds) plus +Inf, _sum and _count. Series sharing a Name are
+// grouped under one TYPE header.
+func WriteHistograms(w io.Writer, ns string, hs []PromHistogram) {
 	seen := map[string]bool{}
-	for _, h := range hs {
-		if !seen[h.Name] {
-			seen[h.Name] = true
-			fmt.Fprintf(w, "# HELP %s Stage latency distribution (milliseconds).\n", h.Name)
-			fmt.Fprintf(w, "# TYPE %s histogram\n", h.Name)
-			for _, g := range hs {
-				if g.Name == h.Name {
-					writeOneHistogram(w, g)
-				}
+	for i := range hs {
+		family := hs[i].Name
+		if seen[family] {
+			continue
+		}
+		seen[family] = true
+		name := ns + "_" + family
+		fmt.Fprintf(w, "# HELP %s Stage latency distribution (milliseconds).\n", name)
+		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+		for j := range hs {
+			if hs[j].Name == family {
+				writeOneHistogram(w, name, &hs[j])
 			}
 		}
 	}
 }
 
-func writeOneHistogram(w io.Writer, h Histogram) {
-	base := make([]promLabel, 0, len(h.Labels)+1)
-	for _, l := range h.Labels {
-		base = append(base, promLabel{sanitizeName(l.Key), l.Value})
+func writeOneHistogram(w io.Writer, name string, h *PromHistogram) {
+	base := []promLabel{{sanitizeName(h.Label), h.Value}}
+	bucket := func(le string, n uint64) {
+		io.WriteString(w, name+"_bucket")
+		writeLabels(w, []promLabel{base[0], {"le", le}})
+		fmt.Fprintf(w, " %d\n", n)
 	}
-	for i, ub := range h.UpperMS {
-		io.WriteString(w, h.Name+"_bucket")
-		writeLabels(w, append(append([]promLabel{}, base...), promLabel{"le", formatFloat(ub)}))
-		fmt.Fprintf(w, " %d\n", h.CumCounts[i])
+	var cum uint64
+	for i, n := range h.Snap.Buckets {
+		cum += n
+		if i%histSub == histSub-1 { // last sub-bucket of an octave row
+			bucket(formatFloat(float64(histUpperBound(i))/float64(time.Millisecond)), cum)
+		}
 	}
-	io.WriteString(w, h.Name+"_bucket")
-	writeLabels(w, append(append([]promLabel{}, base...), promLabel{"le", "+Inf"}))
-	fmt.Fprintf(w, " %d\n", h.Count)
-	io.WriteString(w, h.Name+"_sum")
+	bucket("+Inf", h.Snap.Count)
+	io.WriteString(w, name+"_sum")
 	writeLabels(w, base)
-	fmt.Fprintf(w, " %s\n", formatFloat(h.SumMS))
-	io.WriteString(w, h.Name+"_count")
+	fmt.Fprintf(w, " %s\n", formatFloat(float64(h.Snap.Sum)/float64(time.Millisecond)))
+	io.WriteString(w, name+"_count")
 	writeLabels(w, base)
-	fmt.Fprintf(w, " %d\n", h.Count)
+	fmt.Fprintf(w, " %d\n", h.Snap.Count)
 }

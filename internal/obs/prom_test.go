@@ -3,6 +3,7 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 type promInner struct {
@@ -72,28 +73,34 @@ func TestPromExpositionParses(t *testing.T) {
 }
 
 func TestWriteHistograms(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 3; i++ {
+		h.Observe(time.Millisecond)
+	}
+	h.Observe(1500 * time.Microsecond)
+	h.Observe(1500 * time.Microsecond)
 	var b strings.Builder
-	WriteHistograms(&b, []Histogram{
-		{
-			Name:      "test_lat_ms",
-			Labels:    []Label{{Key: "model", Value: "m"}},
-			UpperMS:   []float64{1, 2},
-			CumCounts: []uint64{3, 5},
-			Count:     6,
-			SumMS:     9.5,
-		},
+	WriteHistograms(&b, "test", []PromHistogram{
+		{Name: "lat_ms", Label: "model", Value: "m", Snap: h.Snapshot()},
 	})
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE test_lat_ms histogram",
-		`test_lat_ms_bucket{model="m",le="1"} 3`,
-		`test_lat_ms_bucket{model="m",le="2"} 5`,
-		`test_lat_ms_bucket{model="m",le="+Inf"} 6`,
-		`test_lat_ms_sum{model="m"} 9.5`,
-		`test_lat_ms_count{model="m"} 6`,
+		// One cumulative bucket per octave row, bounded at 2^k−1 µs.
+		`test_lat_ms_bucket{model="m",le="0.015"} 0`,
+		`test_lat_ms_bucket{model="m",le="0.511"} 0`,
+		`test_lat_ms_bucket{model="m",le="1.023"} 3`,
+		`test_lat_ms_bucket{model="m",le="2.047"} 5`,
+		`test_lat_ms_bucket{model="m",le="+Inf"} 5`,
+		`test_lat_ms_sum{model="m"} 6`,
+		`test_lat_ms_count{model="m"} 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("histogram output missing %q:\n%s", want, out)
 		}
 	}
+	if n := strings.Count(out, "test_lat_ms_bucket{"); n != histBuckets/histSub+1 {
+		t.Fatalf("%d bucket lines, want one per octave row plus +Inf", n)
+	}
+	CheckPromFormat(t, out)
 }

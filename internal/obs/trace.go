@@ -1,8 +1,9 @@
 // Package obs is the node- and gateway-side observability layer: a
 // zero-dependency request tracer (spans, head sampling, ring-buffer
-// storage, cross-process propagation over the X-Openei-Trace header) and
-// a Prometheus text-exposition renderer driven by the same snapshots the
-// JSON metrics endpoints serve.
+// storage, cross-process propagation over the X-Openei-Trace header), the
+// process's one latency histogram (Histogram), and a Prometheus
+// text-exposition renderer driven by the same snapshots the JSON metrics
+// endpoints serve.
 //
 // The tracer is built for the serving hot path: an active trace is a
 // fixed-size span buffer drawn from a free list, spans append
@@ -123,12 +124,12 @@ type Tracer struct {
 	idSeq    atomic.Uint64
 	rndState atomic.Uint64
 
-	// Tail histogram: log2(µs) buckets of finished-request durations.
-	// tailNS caches the keep threshold (upper bound of the p99 bucket),
-	// refreshed every tailRefresh finishes; 0 while under tailMinCount.
-	tailBuckets [48]atomic.Uint64
-	tailCount   atomic.Uint64
-	tailNS      atomic.Int64
+	// tail is the distribution of finished-request durations. tailNS
+	// caches the keep threshold (upper edge of the power-of-two band
+	// holding the p99), refreshed every tailRefresh finishes; 0 while
+	// under tailMinCount.
+	tail   Histogram
+	tailNS atomic.Int64
 
 	started  atomic.Uint64 // traces begun
 	kept     atomic.Uint64 // traces committed to the ring
@@ -501,38 +502,17 @@ func (t *Tracer) Finish(b *TraceBuf, failed bool, total time.Duration) {
 }
 
 // observeTail records a finished duration and periodically recomputes the
-// always-keep threshold: the upper bound of the log2 bucket holding the
-// p99 — a finished request strictly beyond it is a tail outlier worth
-// keeping even when head sampling said no.
+// always-keep threshold: the upper edge of the power-of-two band holding
+// the p99 — a finished request strictly beyond it is a tail outlier worth
+// keeping even when head sampling said no. The band edge, not the finer
+// sub-bucket, so uniform traffic sitting in the p99 band does not all
+// qualify as tail.
 func (t *Tracer) observeTail(total time.Duration) {
-	us := total.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	idx := 0
-	for v := us; v > 0; v >>= 1 {
-		idx++
-	}
-	if idx >= len(t.tailBuckets) {
-		idx = len(t.tailBuckets) - 1
-	}
-	t.tailBuckets[idx].Add(1)
-	n := t.tailCount.Add(1)
+	n := t.tail.Observe(total)
 	if n < tailMinCount || n%tailRefresh != 0 {
 		return
 	}
-	rank := n - n/100 // p99 rank
-	var cum uint64
-	for i := range t.tailBuckets {
-		cum += t.tailBuckets[i].Load()
-		if cum >= rank {
-			// Bucket i holds values in (2^(i-1), 2^i] µs; threshold is the
-			// upper bound so uniform traffic sitting in the p99 bucket does
-			// not all qualify as tail.
-			t.tailNS.Store(int64(1) << uint(i) * int64(time.Microsecond))
-			return
-		}
-	}
+	t.tailNS.Store(int64(octaveUpperBound(t.tail.Snapshot().Quantile(0.99))))
 }
 
 // commit runs the keep/drop decision when the last reference drops.

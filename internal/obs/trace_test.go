@@ -226,24 +226,61 @@ func TestNilSafety(t *testing.T) {
 
 // TestUnsampledZeroAlloc is the overhead guard: a request that ends
 // unsampled must not touch the heap — the tracer recycles its buffer
-// through the free list and the variadic attrs stay on the stack.
+// through the free list, the variadic attrs stay on the stack, and the
+// periodic tail-threshold recompute works on a stack copy. The tracer is
+// warmed past tailMinCount and every measured run finishes exactly
+// tailRefresh traces, so each run contains one recompute; a recompute
+// that allocated would read at least 1 alloc/run, which AllocsPerRun's
+// floored average cannot hide.
 func TestUnsampledZeroAlloc(t *testing.T) {
 	tr := NewTracer(Config{SampleRate: 0})
-	// Warm the free list.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < tailMinCount; i++ {
 		tr.Finish(tr.Begin(TraceContext{}), false, time.Millisecond)
 	}
+	if tr.Stats().TailThresholdMS <= 0 {
+		t.Fatal("warm-up did not arm the tail threshold")
+	}
 	start := time.Now()
-	allocs := testing.AllocsPerRun(200, func() {
-		b := tr.Begin(TraceContext{})
-		root := tr.NextID()
-		b.SetRoot(root)
-		b.Add(StageQueueWait, root, start, time.Microsecond)
-		b.Add(StageExec, root, start, time.Millisecond,
-			Str("model", "m"), Int("batch", 4))
-		tr.Finish(b, false, time.Millisecond)
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < tailRefresh; i++ {
+			b := tr.Begin(TraceContext{})
+			root := tr.NextID()
+			b.SetRoot(root)
+			b.Add(StageQueueWait, root, start, time.Microsecond)
+			b.Add(StageExec, root, start, time.Millisecond,
+				Str("model", "m"), Int("batch", 4))
+			tr.Finish(b, false, time.Millisecond)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("unsampled trace path allocates: %.1f allocs/op", allocs)
+		t.Fatalf("unsampled trace path allocates: %.1f allocs per %d traces", allocs, tailRefresh)
+	}
+	if st := tr.Stats(); st.Kept != 0 {
+		t.Fatalf("uniform traffic kept %d traces as tail", st.Kept)
+	}
+}
+
+// TestTailThresholdOnBandEdge pins where the tail threshold sits for a
+// known distribution: at the upper edge of the power-of-two band (2^k−1
+// µs) holding the p99, not at the finer sub-bucket bound the quantile
+// itself resolves to.
+func TestTailThresholdOnBandEdge(t *testing.T) {
+	tr := NewTracer(Config{SampleRate: 0})
+	// 99% at 300µs, 1% at 5ms: the p99 rank lands in the 300µs mass,
+	// whose band is [256, 511] µs.
+	for i := 0; i < 10*tailRefresh; i++ {
+		d := 300 * time.Microsecond
+		if i%100 == 99 {
+			d = 5 * time.Millisecond
+		}
+		tr.Finish(tr.Begin(TraceContext{}), false, d)
+	}
+	const edgeMS = 0.512 // 2^9 µs; the band ends 1µs below
+	if thr := tr.Stats().TailThresholdMS; thr < edgeMS-0.001 || thr > edgeMS {
+		t.Fatalf("tail threshold = %vms, want the 512µs band edge (±1µs)", thr)
+	}
+	// Only the 5ms outliers beyond the band were kept.
+	if st := tr.Stats(); st.Kept == 0 || st.Kept > 10*tailRefresh/100 {
+		t.Fatalf("kept %d traces, want only the beyond-band outliers", st.Kept)
 	}
 }

@@ -37,8 +37,9 @@ var (
 	helpers int  // running worker goroutines (procs-1; the caller is a worker too)
 	started bool // tasks channel initialized and helpers spawned
 
-	// Pool capacity (wall ns × width) accumulated up to widthSince, the
-	// last width change; utilization divides busy time by it.
+	// Helper capacity (wall ns × helpers, width−1) accumulated up to
+	// widthSince, the last width change; utilization divides helper busy
+	// time by it.
 	capacityNS float64
 	widthSince time.Time
 
@@ -53,7 +54,7 @@ var (
 	statParallel atomic.Uint64 // jobs that went through the pool
 	statSerial   atomic.Uint64 // Do calls that ran inline
 	statChunks   atomic.Uint64 // shards executed
-	statBusyNS   atomic.Uint64 // summed shard execution time
+	statBusyNS   atomic.Uint64 // summed helper shard execution time
 )
 
 // job is one Do invocation. Shards are claimed by atomically advancing
@@ -121,7 +122,7 @@ func SetProcs(p int) {
 	defer mu.Unlock()
 	ensure() // initialize tasks before publishing the new width
 	now := time.Now()
-	capacityNS += float64(now.Sub(widthSince)) * float64(procs.Load())
+	capacityNS += float64(now.Sub(widthSince)) * float64(procs.Load()-1)
 	widthSince = now
 	procs.Store(int32(p))
 	for helpers < p-1 {
@@ -231,13 +232,17 @@ claimed:
 		j.refs.Add(int32(sent - offers))
 	}
 	statParallel.Add(1)
-	j.run()
+	j.run(false)
 	j.wg.Wait()
 	j.release()
 }
 
-// run claims and executes shards until the job is exhausted.
-func (j *job) run() {
+// run claims and executes shards until the job is exhausted. Only helpers
+// time their shards: a caller's own shards — and, inside a helper's
+// shard, a nested Do's — run on a goroutine that is not pool capacity or
+// is already being timed. Timing per shard, before wg.Done, means a Do
+// that has returned has all of its busy time recorded.
+func (j *job) run(timed bool) {
 	for {
 		hi := int(j.next.Add(int64(j.chunk)))
 		lo := hi - j.chunk
@@ -247,9 +252,13 @@ func (j *job) run() {
 		if hi > j.n {
 			hi = j.n
 		}
-		start := time.Now()
-		j.fn(lo, hi)
-		statBusyNS.Add(uint64(time.Since(start)))
+		if timed {
+			start := time.Now()
+			j.fn(lo, hi)
+			statBusyNS.Add(uint64(time.Since(start)))
+		} else {
+			j.fn(lo, hi)
+		}
 		statChunks.Add(1)
 		j.wg.Done()
 	}
@@ -272,7 +281,7 @@ func worker() {
 		if j == nil {
 			return
 		}
-		j.run()
+		j.run(true)
 		j.release()
 	}
 }
@@ -290,11 +299,14 @@ type Stats struct {
 	SerialJobs uint64 `json:"serial_jobs"`
 	// Chunks counts shards executed.
 	Chunks uint64 `json:"chunks"`
-	// BusyMS is the summed shard execution time across all workers.
+	// BusyMS is the summed shard execution time of the helper
+	// goroutines. Shards a caller runs itself are not counted: the caller
+	// is not pool capacity, and a nested Do inside a helper's shard is
+	// already inside that shard's time.
 	BusyMS float64 `json:"busy_ms"`
-	// Utilization is BusyMS over the pool's lifetime capacity (wall time
-	// × the width in force at the time): the fraction of that capacity
-	// spent inside kernels.
+	// Utilization is BusyMS over the helpers' lifetime capacity (wall
+	// time × the helper count, width−1, in force at the time): the
+	// fraction of it spent inside kernels, in [0, 1]; 0 at width 1.
 	Utilization float64 `json:"utilization"`
 }
 
@@ -310,7 +322,7 @@ func Snapshot() Stats {
 	busy := statBusyNS.Load()
 	s.BusyMS = float64(busy) / 1e6
 	mu.Lock()
-	capacity := capacityNS + float64(time.Since(widthSince))*float64(procs.Load())
+	capacity := capacityNS + float64(time.Since(widthSince))*float64(procs.Load()-1)
 	mu.Unlock()
 	if capacity > 0 {
 		s.Utilization = float64(busy) / capacity

@@ -195,23 +195,80 @@ func TestSnapshotCounters(t *testing.T) {
 	}
 }
 
-// Utilization is busy time over the capacity the pool actually had:
-// shrinking the pool after a busy stretch must not inflate the ratio.
-func TestUtilizationAfterShrink(t *testing.T) {
-	withPool(t, 4, 1)
-	// Start the accounting window here, so earlier tests' idle time
-	// cannot mask an over-count.
+// resetUtilization starts a fresh accounting window, so earlier tests'
+// idle time cannot mask an over-count.
+func resetUtilization() {
 	mu.Lock()
 	capacityNS, widthSince = 0, time.Now()
 	mu.Unlock()
 	statBusyNS.Store(0)
-	// Four shards on four workers, each busy for 5ms of its own time.
-	Do(4, 1, func(lo, hi int) {
-		for start := time.Now(); time.Since(start) < 5*time.Millisecond; {
+}
+
+// spin busies the calling goroutine for d of wall time.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// paired is the shard body of a two-shard job that must run on two
+// goroutines: each shard spins until its sibling has started, then runs
+// fn. One goroutine runs its shards one at a time, so the job proceeds
+// only once the helper holds a shard — a test's helper busy time is then
+// never zero by scheduling accident.
+func paired(fn func()) func(lo, hi int) {
+	var started atomic.Int32
+	return func(lo, hi int) {
+		started.Add(1)
+		for started.Load() < 2 {
 		}
-	})
+		fn()
+	}
+}
+
+// Utilization is busy time over the capacity the pool actually had:
+// shrinking the pool after a busy stretch must not inflate the ratio.
+func TestUtilizationAfterShrink(t *testing.T) {
+	withPool(t, 4, 1)
+	resetUtilization()
+	// Four shards on four workers, each busy for 5ms of its own time.
+	Do(4, 1, func(lo, hi int) { spin(5 * time.Millisecond) })
 	SetProcs(1)
 	if u := Snapshot().Utilization; u <= 0 || u > 1 {
 		t.Errorf("utilization %v after shrinking 4 -> 1 workers, want (0, 1]", u)
+	}
+}
+
+// Callers run shards of their own jobs; only the helpers are pool
+// capacity. Four concurrent callers on a width-2 pool (one helper) each
+// run two 20ms shards: counting the callers' shards as pool time would
+// read well above 1.
+func TestUtilizationConcurrentCallers(t *testing.T) {
+	withPool(t, 2, 1)
+	resetUtilization()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			Do(2, 1, paired(func() { spin(20 * time.Millisecond) }))
+		}()
+	}
+	wg.Wait()
+	if u := Snapshot().Utilization; u <= 0 || u > 1 {
+		t.Errorf("utilization %v with 4 callers on a width-2 pool, want (0, 1]", u)
+	}
+}
+
+// A nested Do inside a helper's shard runs on that helper, whose time is
+// already being counted; timing the inner shards too would count it
+// twice.
+func TestUtilizationNestedDo(t *testing.T) {
+	withPool(t, 2, 1)
+	resetUtilization()
+	Do(2, 1, paired(func() {
+		Do(2, 1, func(lo, hi int) { spin(10 * time.Millisecond) })
+	}))
+	if u := Snapshot().Utilization; u <= 0 || u > 1 {
+		t.Errorf("utilization %v with nested Do on a width-2 pool, want (0, 1]", u)
 	}
 }

@@ -3,6 +3,8 @@ package serving
 import (
 	"sync/atomic"
 	"time"
+
+	"openei/internal/obs"
 )
 
 // modelMetrics is one pipeline's counter set, updated with atomics so the
@@ -17,59 +19,35 @@ type modelMetrics struct {
 	rejected atomic.Uint64 // ErrOverloaded at admission
 	expired  atomic.Uint64 // ErrDeadline (at admission or in queue)
 	errored  atomic.Uint64 // inference errors, counted per request
-	done     atomic.Uint64 // successful responses
 
 	batches      atomic.Uint64 // batches executed
 	batchedReqs  atomic.Uint64 // sum of executed batch sizes
 	largestBatch atomic.Uint64
 
-	queuedNS  atomic.Uint64 // total pre-execution wait of done requests
-	latencyNS atomic.Uint64 // total enqueue→response time of done requests
-
-	// hist is the enqueue→response latency distribution behind the
-	// rolling p50/p95/p99 in /ei_metrics and the autopilot's per-tick
-	// quantile deltas.
-	hist latencyHistogram
-
-	// Stage decomposition of every completed request: scheduler backlog
-	// (enqueue → a replica pulled it), batch assembly (pull → execution
-	// start: the deadline gate and stacking, microseconds), and plan
-	// execution (InferBatch). Permanent HDR histograms plus
-	// duration sums for the Prometheus histogram export.
-	qwHist latencyHistogram
-	bwHist latencyHistogram
-	exHist latencyHistogram
-	qwNS   atomic.Uint64
-	bwNS   atomic.Uint64
-	exNS   atomic.Uint64
+	// stages is the latency decomposition of every completed request;
+	// its latency histogram also counts them, and feeds the autopilot's
+	// per-tick quantile deltas.
+	stages stageSet
 
 	// Early-exit accounting (earlyExit pipelines only). totalSteps is
 	// the recurrent window length T; stepsSum accumulates per-sample
-	// steps consumed; exitStats[s-1] is exit head s's counter and
-	// latency distribution — the `exits` block of /ei_metrics.
+	// steps consumed; exits[s-1] is the enqueue→response latency
+	// distribution of samples retiring at exit head s — the `exits`
+	// block of /ei_metrics.
 	earlyExit  bool
 	totalSteps int
 	stepsSum   atomic.Uint64
-	exitStats  []exitStat
-}
-
-// exitStat is one exit head's counters: how many samples retired at this
-// step and their enqueue→response latency distribution.
-type exitStat struct {
-	count atomic.Uint64
-	hist  latencyHistogram
+	exits      []obs.Histogram
 }
 
 // observeExit records one sample retiring after `steps` RNN steps with
 // the given end-to-end latency.
 func (m *modelMetrics) observeExit(steps int, total time.Duration) {
-	if steps < 1 || steps > len(m.exitStats) {
+	if steps < 1 || steps > len(m.exits) {
 		return
 	}
 	m.stepsSum.Add(uint64(steps))
-	s := &m.exitStats[steps-1]
-	s.count.Add(1)
-	s.hist.Observe(total)
+	m.exits[steps-1].Observe(total)
 }
 
 func (m *modelMetrics) observeBatch(n int) {
@@ -83,21 +61,52 @@ func (m *modelMetrics) observeBatch(n int) {
 	}
 }
 
-func (m *modelMetrics) observeDone(queued, total time.Duration) {
-	m.done.Add(1)
-	m.queuedNS.Add(uint64(queued))
-	m.latencyNS.Add(uint64(total))
-	m.hist.Observe(total)
+// stageSet is the latency decomposition shared by the per-model and
+// per-tenant blocks: the enqueue→response latency of every completed
+// request and its three stages — scheduler backlog (enqueue → a replica
+// pulled it), batch assembly (pull → execution start: the deadline gate
+// and stacking, microseconds), and plan execution (InferBatch). The
+// stages partition the latency exactly, so every sum the JSON and
+// Prometheus views need is one of the histograms' own.
+type stageSet struct {
+	latency, queueWait, batchWait, exec obs.Histogram
 }
 
-// observeStages records one completed request's stage decomposition.
-func (m *modelMetrics) observeStages(qw, bw, ex time.Duration) {
-	m.qwHist.Observe(qw)
-	m.bwHist.Observe(bw)
-	m.exHist.Observe(ex)
-	m.qwNS.Add(uint64(qw))
-	m.bwNS.Add(uint64(bw))
-	m.exNS.Add(uint64(ex))
+func (s *stageSet) observe(qw, bw, ex time.Duration) {
+	s.queueWait.Observe(qw)
+	s.batchWait.Observe(bw)
+	s.exec.Observe(ex)
+	s.latency.Observe(qw + bw + ex)
+}
+
+// stageSummary is a stageSet's JSON view: the completed-request count n
+// and one summary per histogram, all nil while n is 0.
+type stageSummary struct {
+	n                                   uint64
+	latency, queueWait, batchWait, exec *StageLatency
+}
+
+func (s *stageSet) summary() stageSummary {
+	lat := s.latency.Snapshot()
+	sum := stageSummary{n: lat.Count}
+	if sum.n > 0 {
+		sum.latency = stageLatency(lat, sum.n)
+		sum.queueWait = stageLatency(s.queueWait.Snapshot(), sum.n)
+		sum.batchWait = stageLatency(s.batchWait.Snapshot(), sum.n)
+		sum.exec = stageLatency(s.exec.Snapshot(), sum.n)
+	}
+	return sum
+}
+
+// exports names the four histograms for the Prometheus exposition:
+// <group>_<stage>_ms{<label>="<value>"}.
+func (s *stageSet) exports(group, label, value string) []obs.PromHistogram {
+	return []obs.PromHistogram{
+		{Name: group + "_latency_ms", Label: label, Value: value, Snap: s.latency.Snapshot()},
+		{Name: group + "_queue_wait_ms", Label: label, Value: value, Snap: s.queueWait.Snapshot()},
+		{Name: group + "_batch_wait_ms", Label: label, Value: value, Snap: s.batchWait.Snapshot()},
+		{Name: group + "_exec_ms", Label: label, Value: value, Snap: s.exec.Snapshot()},
+	}
 }
 
 // StageLatency is one stage's latency summary inside the per-model and
@@ -111,13 +120,11 @@ type StageLatency struct {
 	P99MS float64 `json:"p99_ms"`
 }
 
-func stageLatency(h *latencyHistogram, sumNS uint64, n uint64) *StageLatency {
-	if n == 0 {
-		return nil
-	}
-	s := h.Snapshot()
+// stageLatency summarizes one stage over n completed requests; AvgMS ×
+// n is the stage's summed duration.
+func stageLatency(s obs.HistogramSnapshot, n uint64) *StageLatency {
 	return &StageLatency{
-		AvgMS: float64(sumNS) / float64(n) / 1e6,
+		AvgMS: float64(s.Sum) / float64(n) / 1e6,
 		P50MS: float64(s.Quantile(0.50)) / 1e6,
 		P95MS: float64(s.Quantile(0.95)) / 1e6,
 		P99MS: float64(s.Quantile(0.99)) / 1e6,
@@ -158,7 +165,7 @@ type ModelStats struct {
 
 	// P50MS/P95MS/P99MS are enqueue→response latency quantiles over the
 	// model's whole serving history (HDR-style bucket estimates, ≤ ~6%
-	// high). Per-interval quantiles come from LatencySnapshot deltas.
+	// high). Per-interval quantiles come from Engine.LatencyOf deltas.
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
 	P99MS float64 `json:"p99_ms"`
@@ -194,47 +201,22 @@ type ExitStats struct {
 	P95MS float64 `json:"p95_ms"`
 }
 
-// HistogramExport hands one raw HDR histogram to the Prometheus
-// exposition layer (which renders real bucket series; the JSON view only
-// carries quantile summaries).
-type HistogramExport struct {
-	Stage string // "latency", "queue_wait", "batch_wait", or "exec"
-	Label string // identifying label key: "model" or "tenant"
-	Value string // label value
-	Snap  LatencySnapshot
-	SumNS uint64 // total observed duration, the histogram _sum
-}
-
 // HistogramExports snapshots every per-model and per-tenant histogram
-// (end-to-end latency plus the three stage histograms) for /metrics.
-func (e *Engine) HistogramExports() []HistogramExport {
+// (end-to-end latency plus the three stages) as the Prometheus families
+// serving_<stage>_ms{model=} and tenant_<stage>_ms{tenant=}.
+func (e *Engine) HistogramExports() []obs.PromHistogram {
 	e.mu.RLock()
 	pipes := make([]*pipeline, 0, len(e.pipes))
 	for _, p := range e.pipes {
 		pipes = append(pipes, p)
 	}
 	e.mu.RUnlock()
-	var out []HistogramExport
+	var out []obs.PromHistogram
 	for _, p := range pipes {
-		m := &p.met
-		out = append(out,
-			HistogramExport{"latency", "model", p.model, m.hist.Snapshot(), m.latencyNS.Load()},
-			HistogramExport{"queue_wait", "model", p.model, m.qwHist.Snapshot(), m.qwNS.Load()},
-			HistogramExport{"batch_wait", "model", p.model, m.bwHist.Snapshot(), m.bwNS.Load()},
-			HistogramExport{"exec", "model", p.model, m.exHist.Snapshot(), m.exNS.Load()},
-		)
+		out = append(out, p.met.stages.exports("serving", "model", p.model)...)
 	}
 	for _, ts := range e.tenants.all {
-		m := &ts.met
-		// The tenant latency _sum is reconstructed from the stage sums
-		// (qw + bw + ex spans enqueue → response exactly).
-		latSum := m.qwNS.Load() + m.bwNS.Load() + m.exNS.Load()
-		out = append(out,
-			HistogramExport{"latency", "tenant", ts.cfg.Name, m.hist.Snapshot(), latSum},
-			HistogramExport{"queue_wait", "tenant", ts.cfg.Name, m.qwHist.Snapshot(), m.qwNS.Load()},
-			HistogramExport{"batch_wait", "tenant", ts.cfg.Name, m.bwHist.Snapshot(), m.bwNS.Load()},
-			HistogramExport{"exec", "tenant", ts.cfg.Name, m.exHist.Snapshot(), m.exNS.Load()},
-		)
+		out = append(out, ts.met.stages.exports("tenant", "tenant", ts.cfg.Name)...)
 	}
 	return out
 }
@@ -248,7 +230,6 @@ func (m *modelMetrics) snapshot(model string, depth int, exitThr float64) ModelS
 		QueueDepth:       depth,
 		QueueCap:         m.queueCap,
 		Enqueued:         m.enqueued.Load(),
-		Completed:        m.done.Load(),
 		RejectedOverload: m.rejected.Load(),
 		ExpiredDeadline:  m.expired.Load(),
 		Errors:           m.errored.Load(),
@@ -258,33 +239,28 @@ func (m *modelMetrics) snapshot(model string, depth int, exitThr float64) ModelS
 	if s.Batches > 0 {
 		s.AvgBatch = float64(m.batchedReqs.Load()) / float64(s.Batches)
 	}
-	if s.Completed > 0 {
-		s.AvgQueueMS = float64(m.queuedNS.Load()) / float64(s.Completed) / 1e6
-		s.AvgLatencyMS = float64(m.latencyNS.Load()) / float64(s.Completed) / 1e6
-		h := m.hist.Snapshot()
-		s.P50MS = float64(h.Quantile(0.50)) / 1e6
-		s.P95MS = float64(h.Quantile(0.95)) / 1e6
-		s.P99MS = float64(h.Quantile(0.99)) / 1e6
-		s.QueueWait = stageLatency(&m.qwHist, m.qwNS.Load(), s.Completed)
-		s.BatchWait = stageLatency(&m.bwHist, m.bwNS.Load(), s.Completed)
-		s.Exec = stageLatency(&m.exHist, m.exNS.Load(), s.Completed)
+	st := m.stages.summary()
+	s.Completed = st.n
+	if st.n > 0 {
+		s.AvgQueueMS = st.queueWait.AvgMS + st.batchWait.AvgMS
+		s.AvgLatencyMS = st.latency.AvgMS
+		s.P50MS, s.P95MS, s.P99MS = st.latency.P50MS, st.latency.P95MS, st.latency.P99MS
+		s.QueueWait, s.BatchWait, s.Exec = st.queueWait, st.batchWait, st.exec
 	}
 	if m.earlyExit {
 		s.EarlyExit = true
 		s.ExitThreshold = exitThr
 		s.TotalSteps = m.totalSteps
 		var exited uint64
-		for i := range m.exitStats {
-			es := &m.exitStats[i]
-			c := es.count.Load()
-			if c == 0 {
+		for i := range m.exits {
+			eh := m.exits[i].Snapshot()
+			if eh.Count == 0 {
 				continue
 			}
-			exited += c
-			eh := es.hist.Snapshot()
+			exited += eh.Count
 			s.Exits = append(s.Exits, ExitStats{
 				Step:  i + 1,
-				Count: c,
+				Count: eh.Count,
 				P50MS: float64(eh.Quantile(0.50)) / 1e6,
 				P95MS: float64(eh.Quantile(0.95)) / 1e6,
 			})

@@ -96,7 +96,7 @@ func newPipeline(model string, cfg Config, tenants *tenantTable, reps []*pkgmgr.
 	if reps[0].SupportsEarlyExit() {
 		p.met.earlyExit = true
 		p.met.totalSteps = reps[0].RNNSteps()
-		p.met.exitStats = make([]exitStat, p.met.totalSteps)
+		p.met.exits = make([]obs.Histogram, p.met.totalSteps)
 	}
 	p.wg.Add(len(reps))
 	for _, r := range reps {
@@ -259,16 +259,13 @@ func (p *pipeline) work(rep *pkgmgr.Replica) {
 			qw := r.deq.Sub(r.enq)
 			bw := start.Sub(r.deq)
 			ex := done.Sub(start)
-			p.met.observeDone(queued, total)
-			p.met.observeStages(qw, bw, ex)
+			p.met.stages.observe(qw, bw, ex)
 			var stepsUsed int
 			if res.TotalSteps > 0 {
 				stepsUsed = res.Steps[i]
 				p.met.observeExit(stepsUsed, total)
 			}
-			r.tenant.met.served.Add(1)
-			r.tenant.met.hist.Observe(total)
-			r.tenant.met.observeStages(qw, bw, ex)
+			r.tenant.met.stages.observe(qw, bw, ex)
 			if r.tb != nil {
 				// Stage starts are offsets from enq, not the stamps' own wall
 				// readings, so the three spans abut exactly even when a

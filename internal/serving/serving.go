@@ -511,14 +511,14 @@ func (e *Engine) ExitThresholdOf(model string) (float64, bool) {
 // LatencyOf returns the cumulative latency histogram of the pipeline
 // serving the named model (routes resolved), and whether such a pipeline
 // exists. Subtract successive snapshots for per-interval quantiles.
-func (e *Engine) LatencyOf(model string) (LatencySnapshot, bool) {
+func (e *Engine) LatencyOf(model string) (obs.HistogramSnapshot, bool) {
 	e.mu.RLock()
 	p, ok := e.pipes[e.resolveLocked(model)]
 	e.mu.RUnlock()
 	if !ok {
-		return LatencySnapshot{}, false
+		return obs.HistogramSnapshot{}, false
 	}
-	return p.met.hist.Snapshot(), true
+	return p.met.stages.latency.Snapshot(), true
 }
 
 // Reset drops the model's pipeline, draining its queue and discarding its

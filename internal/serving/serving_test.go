@@ -376,3 +376,28 @@ func TestQueueDepthSnapshot(t *testing.T) {
 		t.Errorf("depth = %d, want 0 at idle", d)
 	}
 }
+
+func TestStatsQuantilesExposed(t *testing.T) {
+	_, e := newTestEngine(t, identModel(4), Config{Replicas: 1, MaxBatch: 1})
+	// Requests held behind a busy replica for a known millisecond give
+	// every quantile a floor to be checked against.
+	release := holdReplicas(t, e, "ident", oneHot(4, 0))
+	reqs := make([]*request, 20)
+	for i := range reqs {
+		reqs[i] = enqueue(t, e, "ident", oneHot(4, i%4), time.Time{})
+	}
+	<-time.After(time.Millisecond)
+	release()
+	for _, req := range reqs {
+		if r := <-req.resp; r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+	st := e.Stats()
+	if len(st) != 1 {
+		t.Fatalf("stats: %d models, want 1", len(st))
+	}
+	if st[0].P50MS < 1 || st[0].P95MS < st[0].P50MS || st[0].P99MS < st[0].P95MS {
+		t.Fatalf("histogram quantiles not populated: %+v", st[0])
+	}
+}

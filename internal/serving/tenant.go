@@ -181,29 +181,12 @@ type tenantMetrics struct {
 	rejected  atomic.Uint64 // shed by a full queue
 	expired   atomic.Uint64 // deadline lapsed (queue or pre-execution)
 	errored   atomic.Uint64 // inference errors
-	served    atomic.Uint64 // successful responses
-	hist      latencyHistogram
 
-	// Per-tenant stage decomposition, the tenant-axis twin of the
-	// per-model histograms in modelMetrics: where does this tenant's
-	// latency go — scheduler backlog (its priority/weight at work), batch
-	// assembly, or execution.
-	qwHist latencyHistogram
-	bwHist latencyHistogram
-	exHist latencyHistogram
-	qwNS   atomic.Uint64
-	bwNS   atomic.Uint64
-	exNS   atomic.Uint64
-}
-
-// observeStages records one served request's stage decomposition.
-func (m *tenantMetrics) observeStages(qw, bw, ex time.Duration) {
-	m.qwHist.Observe(qw)
-	m.bwHist.Observe(bw)
-	m.exHist.Observe(ex)
-	m.qwNS.Add(uint64(qw))
-	m.bwNS.Add(uint64(bw))
-	m.exNS.Add(uint64(ex))
+	// stages is the tenant-axis twin of the per-model decomposition:
+	// where this tenant's latency goes — scheduler backlog (its
+	// priority/weight at work), batch assembly, or execution. Its latency
+	// histogram counts the served requests.
+	stages stageSet
 }
 
 // TenantStats is the JSON-friendly per-tenant snapshot in /ei_metrics —
@@ -252,19 +235,15 @@ func (ts *tenantState) snapshot() TenantStats {
 		ShedQueue:       ts.met.rejected.Load(),
 		ExpiredDeadline: ts.met.expired.Load(),
 		Errors:          ts.met.errored.Load(),
-		Served:          ts.met.served.Load(),
 	}
 	if s.RatePerSec <= 0 {
 		s.Burst = 0
 	}
-	if s.Served > 0 {
-		h := ts.met.hist.Snapshot()
-		s.P50MS = float64(h.Quantile(0.50)) / 1e6
-		s.P95MS = float64(h.Quantile(0.95)) / 1e6
-		s.P99MS = float64(h.Quantile(0.99)) / 1e6
-		s.QueueWait = stageLatency(&ts.met.qwHist, ts.met.qwNS.Load(), s.Served)
-		s.BatchWait = stageLatency(&ts.met.bwHist, ts.met.bwNS.Load(), s.Served)
-		s.Exec = stageLatency(&ts.met.exHist, ts.met.exNS.Load(), s.Served)
+	st := ts.met.stages.summary()
+	s.Served = st.n
+	if st.n > 0 {
+		s.P50MS, s.P95MS, s.P99MS = st.latency.P50MS, st.latency.P95MS, st.latency.P99MS
+		s.QueueWait, s.BatchWait, s.Exec = st.queueWait, st.batchWait, st.exec
 	}
 	return s
 }

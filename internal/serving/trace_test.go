@@ -126,16 +126,16 @@ func TestStageHistogramsInStats(t *testing.T) {
 		t.Fatalf("tenant stage latencies missing: %+v", ts)
 	}
 	// Raw exports: per-model latency + 3 stages, per-tenant the same.
-	stages := map[string]int{}
+	names := map[string]int{}
 	for _, ex := range e.HistogramExports() {
-		stages[ex.Label+"/"+ex.Stage]++
+		names[ex.Name]++
 	}
 	for _, want := range []string{
-		"model/latency", "model/queue_wait", "model/batch_wait", "model/exec",
-		"tenant/latency", "tenant/queue_wait", "tenant/batch_wait", "tenant/exec",
+		"serving_latency_ms", "serving_queue_wait_ms", "serving_batch_wait_ms", "serving_exec_ms",
+		"tenant_latency_ms", "tenant_queue_wait_ms", "tenant_batch_wait_ms", "tenant_exec_ms",
 	} {
-		if stages[want] == 0 {
-			t.Fatalf("histogram exports missing %s; got %v", want, stages)
+		if names[want] == 0 {
+			t.Fatalf("histogram exports missing %s; got %v", want, names)
 		}
 	}
 }
